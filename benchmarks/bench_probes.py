@@ -68,9 +68,7 @@ def _counters(stats):
         "batch_fallbacks": stats.batch_fallbacks,
         "speculative_issued": stats.speculative_issued,
         "speculative_wasted": stats.speculative_wasted,
-        "planned": stats.planned,
-        "plan_batched": stats.plan_batched,
-        "plan_fallbacks": stats.plan_fallbacks,
+        "grid_points": stats.grid_points,
         "dare_memo_hits": stats.dare_memo_hits,
         "dare_memo_solves": stats.dare_memo_solves,
     }

@@ -40,7 +40,10 @@ from repro.trace import Trace, compute_metrics, diff_traces
 # 1.4: scheduler/executor/result-store split + the distributed campaign
 # backend (grid specs embed this version; mixed-version fleets refuse
 # to share a campaign).
-__version__ = "1.6.0"
+# 1.7: one RunSpec keys every run (grid points, extension runs and
+# probes share one key space; cache layout v3).  pyproject.toml reads
+# the version from here.
+__version__ = "1.7.0"
 
 __all__ = [
     "run_scenario",

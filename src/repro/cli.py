@@ -206,30 +206,21 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 return 2
             if resolved is None:
-                print(f"cache key {args.target} matches no checkpointed "
-                      "grid point or ledgered off-grid run; pass the "
-                      "run's flags instead "
+                print(f"cache key {args.target} matches no ledgered run "
+                      "in this cache; pass the run's flags instead "
                       "(--scenario/--controller/--attack/...)",
                       file=sys.stderr)
                 return 2
-            if isinstance(resolved, dict):
-                # An off-grid entry from the params ledger (E10–E13
-                # sweeps, probe fleet): the dict is explain() kwargs.
-                scenario = resolved.pop("scenario")
-                controller = resolved.pop("controller", controller)
-                attack = resolved.pop("attack", attack)
-                intensity = resolved.pop("intensity", intensity)
-                seed = resolved.pop("seed", seed)
-                onset = resolved.pop("onset", onset)
-                args.fault = resolved.pop("fault", args.fault)
-                dur = resolved.pop("duration", None)
-                extra = resolved
-            else:
-                scenario, controller, attack, intensity, seed, onset, dur \
-                    = resolved
-                extra = {}
-            if args.duration is None and dur is not None:
-                args.duration = dur
+            scenario, controller = resolved.scenario, resolved.controller
+            attack, args.fault = resolved.attack, resolved.fault
+            intensity, onset = resolved.intensity, resolved.onset
+            seed = resolved.seed
+            if args.duration is None:
+                args.duration = resolved.duration
+            extra = {"end": resolved.end, "gate": resolved.gate,
+                     "defect": resolved.defect,
+                     "defect_args": dict(resolved.defect_args),
+                     "supervised": resolved.supervised}
     STATS.reset()
     report = explain(
         scenario, controller, attack=attack, fault=args.fault,
@@ -554,7 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "$ADASSURE_POINT_RETRIES or 2)")
     p_worker.add_argument("--sim-engine", choices=("serial", "batch"),
                           default=None,
-                          help="simulation engine for this worker's shards")
+                          help="simulation engine for this worker's shards "
+                               "(default: the grid spec's recorded choice)")
     p_worker.add_argument("--lease-ttl", type=float, default=None, metavar="S",
                           help="shard lease TTL in seconds (default: "
                                "$ADASSURE_LEASE_TTL or 60); a worker dead "

@@ -8,16 +8,13 @@ reproduces the full-size tables.
 """
 
 from repro.experiments.backend import (
-    BatchExecutor,
-    CacheResultStore,
     Executor,
     PoolExecutor,
     ResultStore,
     Scheduler,
     SerialExecutor,
-    build_grid,
 )
-from repro.experiments.cache import RunCache, cache_key
+from repro.experiments.cache import RunCache
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.counterfactual import (
     CausalReport,
@@ -30,13 +27,14 @@ from repro.experiments.counterfactual import (
     resolve_cache_key,
 )
 from repro.experiments.runner import (
-    GridRun,
     clear_cache,
+    drain,
     resolve_executor,
     resolve_workers,
     run_grid,
     set_memo_limit,
 )
+from repro.experiments.spec import GridRun, RunSpec, build_grid
 from repro.experiments.stats import STATS, GridStats
 from repro.experiments.tables import Table
 
@@ -58,10 +56,11 @@ from repro.experiments.e14_degradation import build_degradation_table
 __all__ = [
     "ExperimentConfig",
     "Table",
+    "RunSpec",
     "run_grid",
+    "drain",
     "GridRun",
     "RunCache",
-    "cache_key",
     "clear_cache",
     "resolve_executor",
     "resolve_workers",
@@ -69,10 +68,8 @@ __all__ = [
     "Scheduler",
     "Executor",
     "ResultStore",
-    "BatchExecutor",
     "PoolExecutor",
     "SerialExecutor",
-    "CacheResultStore",
     "build_grid",
     "GridStats",
     "STATS",

@@ -1,24 +1,25 @@
-"""Pluggable campaign backends: scheduler / executor / result-store split.
+"""Campaign backends: schedulers, executors and the one result store.
 
-:func:`~repro.experiments.runner.run_grid` used to hard-code one execution
-strategy (memo -> disk cache -> optional batch prepass -> process pool ->
-serial retry loop).  This module factors that pipeline into three small
-interfaces so backends *compose* instead of being welded together:
+:func:`~repro.experiments.runner.drain` is the one execution pipeline
+(declare -> resolve -> batch -> fall back -> check -> commit); this
+module holds the pieces it composes:
 
-* :class:`Scheduler` — partitions pending grid points into shards (pool
-  chunks, lease-claimable distributed shards, one big serial shard);
-* :class:`Executor`  — runs a shard list, merging completed points back
-  as they finish and returning whatever still needs a fallback
-  (:class:`BatchExecutor`, :class:`PoolExecutor`, :class:`SerialExecutor`,
-  and the multi-host :class:`~repro.experiments.distributed.DistributedExecutor`);
-* :class:`ResultStore` — the commit point every executor funnels through
-  (in-process memo + content-addressed disk cache + checkpoint manifest).
+* :class:`Scheduler` — partitions pending runs into shards (pool chunks,
+  lease-claimable distributed shards);
+* :class:`Executor` — runs a shard list, merging completed runs back as
+  they finish and returning whatever still needs a fallback
+  (:class:`PoolExecutor`, :class:`SerialExecutor`, and the multi-host
+  :class:`~repro.experiments.distributed.DistributedExecutor`);
+* :class:`ResultStore` — the commit point every executor funnels
+  through: in-process LRU memo + content-addressed disk cache + spec
+  ledger + optional checkpoint manifest, all keyed by
+  :class:`~repro.experiments.spec.RunSpec`.
 
-The contract that makes composition safe: **a point is only ever observable
-through the result store**, and a commit is atomic (the disk cache writes
-tmp+rename).  Executors may die, be duplicated, or re-run points — the
-store absorbs it, because a grid point is a pure function of its key and
-re-commits are byte-identical.
+The contract that makes composition safe: **a run is only ever
+observable through the result store**, and a commit is atomic (the disk
+cache writes tmp+rename).  Executors may die, be duplicated, or re-run
+specs — the store absorbs it, because a run is a pure function of its
+spec and re-commits are byte-identical.
 
 Worker-side primitives (``_execute_point`` and friends) stay in
 :mod:`~repro.experiments.runner` and are resolved through the module
@@ -32,27 +33,27 @@ import os
 import random
 import time
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable
 
 __all__ = [
+    "DEFAULT_MEMO_LIMIT",
     "DEFAULT_RETRY_CAP",
-    "BatchExecutor",
-    "CacheResultStore",
     "ChunkScheduler",
     "Executor",
     "PoolExecutor",
     "ResultStore",
     "Scheduler",
-    "ScoredResultStore",
     "SerialExecutor",
-    "SingleShardScheduler",
     "StripedScheduler",
-    "build_grid",
     "retry_cap",
     "retry_delay",
+    "set_memo_limit",
 ]
+
+DEFAULT_MEMO_LIMIT = 512
+"""Default bound on the in-process memo (``ADASSURE_MEMO_LIMIT`` env)."""
 
 DEFAULT_RETRY_CAP = 30.0
 """Default cap on a point's *total* retry-backoff sleep, seconds
@@ -61,32 +62,6 @@ DEFAULT_RETRY_CAP = 30.0
 _RNG = random.Random()
 """Process-local jitter source: seeded per process, so a fleet of workers
 that fails simultaneously does not retry in lockstep."""
-
-
-def build_grid(
-    scenarios,
-    controllers,
-    attacks,
-    seeds,
-    intensity: float = 1.0,
-    onset: float = 15.0,
-    duration: float | None = None,
-) -> list[tuple]:
-    """The canonical point list (scenario-major, seed-minor).
-
-    Shared by :func:`~repro.experiments.runner.run_grid` and the
-    distributed :class:`~repro.experiments.distributed.GridSpec`, so a
-    worker on another host enumerates byte-identical point tuples (and
-    therefore identical cache keys) from the serialized campaign spec.
-    """
-    return [
-        (scenario, controller, attack, float(intensity), int(seed),
-         float(onset), None if duration is None else float(duration))
-        for scenario in scenarios
-        for controller in controllers
-        for attack in attacks
-        for seed in seeds
-    ]
 
 
 def retry_cap(cap: float | None = None) -> float:
@@ -129,18 +104,11 @@ def retry_delay(failures: int, slept: float, *, base: float | None = None,
 # ---------------------------------------------------------------------------
 
 class Scheduler(ABC):
-    """Partitions a pending point list into executor-sized shards."""
+    """Partitions a pending spec list into executor-sized shards."""
 
     @abstractmethod
-    def shards(self, points: list[tuple]) -> list[list[tuple]]:
+    def shards(self, points: list) -> list[list]:
         """Non-empty, non-overlapping shards covering ``points`` in order."""
-
-
-class SingleShardScheduler(Scheduler):
-    """Everything in one shard — the serial executor's natural unit."""
-
-    def shards(self, points: list[tuple]) -> list[list[tuple]]:
-        return [list(points)] if points else []
 
 
 class ChunkScheduler(Scheduler):
@@ -156,7 +124,7 @@ class ChunkScheduler(Scheduler):
         self.n_workers = max(int(n_workers), 1)
         self.chunk_size = 1
 
-    def shards(self, points: list[tuple]) -> list[list[tuple]]:
+    def shards(self, points: list) -> list[list]:
         size = None
         env = os.environ.get("ADASSURE_CHUNK")
         if env:
@@ -181,7 +149,7 @@ class StripedScheduler(Scheduler):
     def __init__(self, shard_points: int):
         self.shard_points = max(int(shard_points), 1)
 
-    def shards(self, points: list[tuple]) -> list[list[tuple]]:
+    def shards(self, points: list) -> list[list]:
         return [points[i:i + self.shard_points]
                 for i in range(0, len(points), self.shard_points)]
 
@@ -190,180 +158,125 @@ class StripedScheduler(Scheduler):
 # ResultStore: the shared commit point
 # ---------------------------------------------------------------------------
 
-class ResultStore(ABC):
-    """Where completed points become durable (and duplicates collapse)."""
-
-    @abstractmethod
-    def resolve(self, point: tuple):
-        """``(GridRun, source)`` for an already-known point, else ``None``.
-
-        ``source`` is ``"memo"`` or ``"disk"`` so the caller can account
-        hits per layer.
-        """
-
-    @abstractmethod
-    def commit(self, point: tuple, run) -> None:
-        """Persist one completed point (idempotent, atomic on disk)."""
-
-    @abstractmethod
-    def quarantine(self, point: tuple, error: str) -> None:
-        """Ledger a point that exhausted its retries."""
-
-    def close(self) -> None:
-        """Release any campaign-level resources (leases)."""
+def _memo_limit() -> int:
+    try:
+        return max(int(os.environ.get("ADASSURE_MEMO_LIMIT",
+                                      DEFAULT_MEMO_LIMIT)), 1)
+    except ValueError:
+        return DEFAULT_MEMO_LIMIT
 
 
-class CacheResultStore(ResultStore):
-    """Memo + :class:`~repro.experiments.cache.RunCache` +
-    :class:`~repro.experiments.cache.CheckpointManifest` as one commit point.
+_MEMO: OrderedDict = OrderedDict()
+"""The process-wide in-process layer: ``RunSpec -> GridRun``, bounded LRU
+so multi-thousand-run sweeps cannot grow memory without limit (each
+entry holds a full trace)."""
 
-    This is the object that makes every executor interchangeable: a point
+_MEMO_LIMIT = _memo_limit()
+
+
+def set_memo_limit(limit: int) -> None:
+    """Re-bound the in-process memo (evicts oldest entries immediately)."""
+    global _MEMO_LIMIT
+    if limit < 1:
+        raise ValueError("memo limit must be >= 1")
+    _MEMO_LIMIT = limit
+    while len(_MEMO) > _MEMO_LIMIT:
+        _MEMO.popitem(last=False)
+
+
+def _memo_put(spec, run) -> None:
+    _MEMO[spec] = run
+    _MEMO.move_to_end(spec)
+    while len(_MEMO) > _MEMO_LIMIT:
+        _MEMO.popitem(last=False)
+
+
+class ResultStore:
+    """Memo + :class:`~repro.experiments.cache.RunCache` + spec ledger +
+    optional :class:`~repro.experiments.cache.CheckpointManifest`, keyed
+    by :class:`~repro.experiments.spec.RunSpec`.
+
+    This is the object that makes every executor interchangeable: a run
     committed here is visible to the in-process memo, to every other
     process sharing the cache directory (the distributed workers' common
-    store), and to the campaign's resume ledger — in that order, so a
-    crash between steps loses bookkeeping, never results.
+    store, a probe fleet), to ``adassure explain <key>`` through the
+    ledger, and to the campaign's resume ledger — in that order, so a
+    crash between steps loses bookkeeping, never results.  Values are
+    :class:`~repro.experiments.spec.GridRun` records.
     """
 
-    def __init__(self, cache, catalog: str | None, manifest,
-                 memo_get: Callable, memo_put: Callable):
+    def __init__(self, cache, catalog: str | None = None, manifest=None):
+        if catalog is None and cache is not None:
+            from repro.core.spec import catalog_fingerprint
+            catalog = catalog_fingerprint()
         self.cache = cache
         self.catalog = catalog
         self.manifest = manifest
-        self._memo_get = memo_get
-        self._memo_put = memo_put
 
-    # -- keys -----------------------------------------------------------
-    def key(self, point: tuple) -> str | None:
-        if self.cache is None:
-            return None
-        from repro.experiments.cache import cache_key
-        return cache_key(*point, catalog=self.catalog)
+    def key(self, spec) -> str | None:
+        return None if self.cache is None else spec.key(self.catalog)
 
-    def contains(self, point: tuple) -> bool:
-        key = self.key(point)
-        return key is not None and self.cache.contains(key)
+    def contains(self, spec) -> bool:
+        return self.cache is not None and self.cache.contains(self.key(spec))
 
-    # -- ResultStore ----------------------------------------------------
-    def resolve(self, point: tuple):
-        run = self._memo_get(point)
+    def resolve(self, spec):
+        """``(GridRun, source)`` for an already-known run, else ``None``.
+
+        ``source`` is ``"memo"`` or ``"disk"`` so the caller can account
+        hits per layer.  A ``GridRun`` unpacks as ``(result, report)``.
+        """
+        run = _MEMO.get(spec)
+        source = "memo"
         if run is not None:
-            if self.manifest is not None:
-                self.manifest.complete(point)
-            return run, "memo"
-        run = self.load(point)
-        if run is not None:
-            self._memo_put(point, run)
-            if self.manifest is not None:
-                self.manifest.complete(point)
-            return run, "disk"
-        return None
+            _MEMO.move_to_end(spec)
+        else:
+            run = self.load(spec)
+            if run is None:
+                return None
+            _memo_put(spec, run)
+            source = "disk"
+        if self.manifest is not None:
+            self.manifest.complete(spec)
+        return run, source
 
-    def load(self, point: tuple):
+    def load(self, spec):
         """Disk-only lookup (no memo, no manifest side effects)."""
         if self.cache is None:
             return None
-        entry = self.cache.load(self.key(point))
+        entry = self.cache.load(self.key(spec))
         if entry is None:
             return None
-        from repro.experiments.runner import GridRun
-        result, report, diagnosis = entry
-        return GridRun(
-            scenario=point[0], controller=point[1], attack=point[2],
-            intensity=point[3], seed=point[4],
-            result=result, report=report, diagnosis=diagnosis,
-        )
+        from repro.experiments.spec import GridRun
+        return GridRun(spec, *entry)
 
-    def commit(self, point: tuple, run) -> None:
-        self._memo_put(point, run)
+    def commit(self, spec, run) -> None:
+        """Persist one completed run (idempotent, atomic on disk)."""
+        _memo_put(spec, run)
         if self.cache is not None:
             # Result-commit-before-ledger-update: the atomic cache write
-            # is the point's durability moment; everything after is
+            # is the run's durability moment; everything after is
             # bookkeeping a crash may lose without losing work.
-            self.cache.store(self.key(point), run.result, run.report,
-                             run.diagnosis)
+            key = self.key(spec)
+            self.cache.store(key, run.result, run.report, run.diagnosis)
+            self.cache.record_params(key, spec.to_dict())
         if self.manifest is not None:
-            self.manifest.complete(point)
+            self.manifest.complete(spec)
 
-    def quarantine(self, point: tuple, error: str) -> None:
+    def adopt(self, spec, run) -> None:
+        """Bookkeeping for a run another process already committed."""
+        _memo_put(spec, run)
         if self.manifest is not None:
-            self.manifest.quarantine(point, error)
+            self.manifest.complete(spec)
+
+    def quarantine(self, spec, error: str) -> None:
+        """Ledger a run that exhausted its retries."""
+        if self.manifest is not None:
+            self.manifest.quarantine(spec, error)
 
     def close(self) -> None:
+        """Give the manifest's lease back (campaign finished or aborted)."""
         if self.manifest is not None:
             self.manifest.release()
-
-
-class ScoredResultStore(ResultStore):
-    """Memo + :class:`~repro.experiments.cache.RunCache` commit point for
-    *params-keyed* off-grid runs.
-
-    :class:`CacheResultStore` addresses grid points by their grid tuple;
-    this sibling addresses everything the cartesian grid cannot express —
-    the E10–E13 extension configurations (via
-    :func:`~repro.experiments.runner.run_scored`) and the counterfactual
-    probe fleet (:mod:`repro.experiments.counterfactual`) — by a canonical
-    JSON params dict hashed through
-    :func:`~repro.experiments.cache.cache_key_params`.  Same layers, same
-    contract: a commit is atomic and content-addressed, so re-running a
-    probe anywhere that shares the cache directory (a pool worker, a
-    distributed fleet member) collapses to one entry — exactly-once by
-    construction, not by coordination.
-
-    A "point" here is the params dict itself; stored values are
-    ``(RunResult, CheckReport)`` pairs (diagnosis is knowledge-base
-    dependent and recomputed by callers).
-    """
-
-    def __init__(self, cache, memo_get: Callable, memo_put: Callable,
-                 catalog: str | None = None):
-        self.cache = cache
-        self.catalog = catalog
-        self._memo_get = memo_get
-        self._memo_put = memo_put
-
-    # -- keys -----------------------------------------------------------
-    @staticmethod
-    def canonical(params: dict) -> str:
-        import json
-        return json.dumps(params, sort_keys=True, separators=(",", ":"))
-
-    def memo_key(self, params: dict) -> tuple:
-        return ("scored", self.canonical(params))
-
-    def key(self, params: dict) -> str | None:
-        if self.cache is None:
-            return None
-        from repro.experiments.cache import cache_key_params
-        return cache_key_params(params, catalog=self.catalog)
-
-    # -- ResultStore ----------------------------------------------------
-    def resolve(self, params: dict):
-        pair = self._memo_get(self.memo_key(params))
-        if pair is not None:
-            return pair, "memo"
-        if self.cache is None:
-            return None
-        entry = self.cache.load(self.key(params))
-        if entry is None:
-            return None
-        result, report, _diagnosis = entry
-        pair = (result, report)
-        self._memo_put(self.memo_key(params), pair)
-        return pair, "disk"
-
-    def commit(self, params: dict, pair) -> None:
-        self._memo_put(self.memo_key(params), pair)
-        if self.cache is not None:
-            result, report = pair
-            key = self.key(params)
-            self.cache.store(key, result, report, None)
-            # Sidecar ledger: lets `adassure explain <key>` reverse-map
-            # off-grid entries back to their params dict.
-            self.cache.record_params(key, params)
-
-    def quarantine(self, params: dict, error: str) -> None:
-        """Off-grid runs keep no campaign ledger; failures raise to the
-        caller instead of being quarantined."""
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +284,11 @@ class ScoredResultStore(ResultStore):
 # ---------------------------------------------------------------------------
 
 class Executor(ABC):
-    """Runs ``(point, failures)`` work items, merging completions.
+    """Runs ``(spec, failures)`` work items, merging completions.
 
-    ``merge(point, run, phases)`` is called for every completed point as
-    it finishes (the incremental checkpoint).  The return value is the
-    leftover items — points this executor could not finish, with their
+    ``merge(spec, run, phases)`` is called for every completed run as it
+    finishes (the incremental checkpoint).  The return value is the
+    leftover items — specs this executor could not finish, with their
     accumulated failure counts — which the caller hands to the next
     executor in the chain (ultimately :class:`SerialExecutor`, which
     owns retries and quarantine and never leaves leftovers).
@@ -386,48 +299,7 @@ class Executor(ABC):
     @abstractmethod
     def execute(self, items: list[tuple], merge, stats,
                 quarantine=None) -> list[tuple]:
-        """items/return: ``[(point, failures), ...]``."""
-
-
-class BatchExecutor(Executor):
-    """Lockstep prepass: compatible groups through the array-native engine.
-
-    Groups by ``(scenario, duration)`` — the compatibility key the batch
-    engine requires — capped at the configured lane count.  Any group the
-    engine rejects falls back *whole* to the next executor; singleton
-    groups skip the engine entirely.
-    """
-
-    name = "batch"
-
-    def execute(self, items, merge, stats, quarantine=None):
-        from repro.experiments import runner
-        from repro.sim.batch.controllers import dare_memo_counters
-        dare0 = dare_memo_counters()
-        points = [point for point, _ in items]
-        groups: dict[tuple, list[tuple]] = {}
-        for point in points:
-            groups.setdefault((point[0], point[6]), []).append(point)
-        cap = runner._batch_lanes()
-        leftover: list[tuple] = []
-        for group in groups.values():
-            for i in range(0, len(group), cap):
-                chunk = group[i:i + cap]
-                if len(chunk) < 2:
-                    leftover.extend((p, 0) for p in chunk)
-                    continue
-                try:
-                    runner._execute_batch(chunk, merge)
-                except Exception:
-                    stats.batch_fallbacks += 1
-                    leftover.extend((p, 0) for p in chunk)
-                else:
-                    stats.batch_groups += 1
-                    stats.batch_points += len(chunk)
-        dare1 = dare_memo_counters()
-        stats.dare_memo_hits += dare1["hits"] - dare0["hits"]
-        stats.dare_memo_solves += dare1["solves"] - dare0["solves"]
-        return leftover
+        """items/return: ``[(spec, failures), ...]``."""
 
 
 class PoolExecutor(Executor):

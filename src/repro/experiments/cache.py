@@ -1,26 +1,31 @@
-"""Persistent, content-addressed on-disk cache for scored grid runs.
+"""Persistent, content-addressed on-disk cache for scored runs.
 
-Every grid point the runner executes is a pure function of its inputs
-(scenario, controller, attack, intensity, seed, onset, duration) *and* of
-the code that scores it — the simulator is fully seeded and the assertion
-catalog deterministic.  That makes runs content-addressable: the cache
-key is a SHA-256 over the canonical input tuple salted with the package
-version and the catalog fingerprint, so a cache populated by one catalog
-revision is silently invalidated by the next.
+Every run is a pure function of its :class:`~repro.experiments.spec.RunSpec`
+*and* of the code that scores it — the simulator is fully seeded and the
+assertion catalog deterministic.  That makes runs content-addressable:
+the cache key (:meth:`~repro.experiments.spec.RunSpec.key`) is a SHA-256
+over the canonical spec salted with the package version and the catalog
+fingerprint, so a cache populated by one catalog revision is silently
+invalidated by the next.
 
 Layout (under ``$ADASSURE_CACHE_DIR`` or ``~/.cache/adassure``)::
 
-    <root>/v2/ab/<key>.trace.npz        version-stamped columnar binary
+    <root>/v3/ab/<key>.trace.npz        version-stamped columnar binary
                                         trace (``repro.trace.io``;
                                         inspectable via `adassure check`)
-    <root>/v2/ab/<key>.scored.pkl       pickled scenario + metrics +
+    <root>/v3/ab/<key>.scored.pkl       pickled scenario + metrics +
                                         outcome + CheckReport + diagnosis
+    <root>/v3/params/ab/<key>.params.json
+                                        the spec ledger: the run's
+                                        ``RunSpec.to_dict()``, so
+                                        `adassure explain <key>` can
+                                        rebuild any cached run
 
 Traces are stored as the binary bytes themselves — no re-compression
 wrapper — so a cache hit deserializes straight into the columnar view
 the vectorized checker consumes.  Loading sniffs the payload format, so
 a cache directory can in principle hold older JSONL entries too (the
-``v2`` root isolates this layout from ``v1`` regardless).
+versioned root isolates each layout from the others regardless).
 
 Entries are written atomically (tmp file + rename) so concurrent workers
 and concurrent campaigns can share a cache directory.  Any unreadable or
@@ -41,7 +46,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import repro
-from repro.core.spec import catalog_fingerprint
 from repro.core.verdicts import CheckReport
 from repro.locking import FileLease
 from repro.sim.engine import RunResult
@@ -56,17 +60,18 @@ __all__ = [
     "CacheCounters",
     "CheckpointManifest",
     "RunCache",
-    "cache_key",
-    "cache_key_params",
     "default_cache_dir",
     "grid_identity",
 ]
 
-CACHE_FORMAT_VERSION = 2
-"""Bumped whenever the on-disk entry layout changes.
+CACHE_FORMAT_VERSION = 3
+"""Bumped whenever the on-disk entry layout or key space changes.
 
 v2: traces stored as columnar ``.trace.npz`` binary instead of gzip'd
 JSONL (smaller entries, much faster loads, no double compression).
+v3: every entry is keyed by its :class:`~repro.experiments.spec.RunSpec`
+and ledgered under ``params/`` (grid points, extension runs and probes
+share one key space).
 """
 
 _TRACE_SUFFIX = ".trace.npz"
@@ -83,60 +88,8 @@ def default_cache_dir() -> Path:
     return base / "adassure"
 
 
-def cache_key(
-    scenario: str,
-    controller: str,
-    attack: str,
-    intensity: float,
-    seed: int,
-    onset: float,
-    duration: float | None,
-    *,
-    catalog: str | None = None,
-) -> str:
-    """Content hash of one grid point.
-
-    The salt covers everything a scored run depends on besides the grid
-    coordinates: the entry format, the package version (code salt), and
-    the effective assertion-catalog configuration.
-    """
-    payload = {
-        "format": CACHE_FORMAT_VERSION,
-        "code": repro.__version__,
-        "catalog": catalog if catalog is not None else catalog_fingerprint(),
-        "scenario": scenario,
-        "controller": controller,
-        "attack": attack,
-        "intensity": float(intensity),
-        "seed": int(seed),
-        "onset": float(onset),
-        "duration": None if duration is None else float(duration),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:40]
-
-
-def cache_key_params(params: dict, *, catalog: str | None = None) -> str:
-    """Content hash of an *off-grid* run described by a params dict.
-
-    For runs the cartesian grid cannot key (gated estimators, concurrent
-    attack pairs, injected controller defects, car-following scenarios).
-    ``params`` must be JSON-serializable and include every knob the run
-    depends on; the same version/catalog salt as :func:`cache_key`
-    applies.
-    """
-    payload = {
-        "format": CACHE_FORMAT_VERSION,
-        "code": repro.__version__,
-        "catalog": catalog if catalog is not None else catalog_fingerprint(),
-        "params": params,
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:40]
-
-
-def grid_identity(grid: list[tuple]) -> str:
-    """Stable campaign id: a hash of the full point list, version-salted.
+def grid_identity(specs) -> str:
+    """Stable campaign id: a hash of the full spec list, version-salted.
 
     Shared by the checkpoint manifest, the distributed shard board and
     the serialized grid spec, so every process that enumerates the same
@@ -146,7 +99,7 @@ def grid_identity(grid: list[tuple]) -> str:
     payload = {
         "format": CACHE_FORMAT_VERSION,
         "code": repro.__version__,
-        "grid": [list(point) for point in grid],
+        "grid": [spec.to_dict() for spec in specs],
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:40]
@@ -168,7 +121,7 @@ class CacheCounters:
 
 
 class RunCache:
-    """Persistent store of scored runs, keyed by :func:`cache_key`.
+    """Persistent store of scored runs, keyed by ``RunSpec.key()``.
 
     The value side is the ``(result, report, diagnosis)`` triple the grid
     runner produces: the trace travels as the columnar binary format
@@ -282,18 +235,17 @@ class RunCache:
             self.counters.errors += 1
             self.evict(key)
 
-    # -- off-grid params ledger -----------------------------------------
+    # -- spec ledger ----------------------------------------------------
     def _params_path(self, key: str) -> Path:
         return self.root / "params" / key[:2] / (key + ".params.json")
 
     def record_params(self, key: str, params: dict) -> None:
-        """Ledger entry mapping an off-grid cache key to its params dict.
+        """Ledger entry mapping a cache key to its spec dict.
 
-        Grid points are reverse-mappable through checkpoint manifests;
-        off-grid runs (``run_scored`` / planner / probe entries) have no
-        manifest, so the store keeps this sidecar ledger instead —
-        :func:`~repro.experiments.counterfactual.resolve_cache_key`
-        reads it to make ``adassure explain <key>`` work for them.
+        Written once per key (the first commit wins; later commits of
+        the same key are byte-identical anyway).
+        :func:`~repro.experiments.counterfactual.resolve_cache_key` reads
+        it to make ``adassure explain <key>`` work for every entry.
         Atomic and best-effort, like :meth:`store`.
         """
         try:
@@ -307,7 +259,7 @@ class RunCache:
             self.counters.errors += 1
 
     def load_params(self, key: str) -> dict | None:
-        """The params dict recorded for ``key``, or ``None``."""
+        """The spec dict recorded for ``key``, or ``None``."""
         try:
             return json.loads(
                 self._params_path(key).read_text(encoding="utf-8"))
@@ -393,7 +345,8 @@ class CheckpointManifest:
     process leaves an accurate ledger behind.
 
     Layout: ``<cache root>/checkpoints/<grid id>.json`` where the grid id
-    hashes the full point list with the usual version/catalog salt.
+    hashes the full spec list with the usual version salt; completed and
+    quarantined entries are ``RunSpec.to_dict()`` records.
 
     Concurrent campaigns over the *same grid* in the *same cache dir* are
     guarded by an advisory :class:`~repro.locking.FileLease` sidecar
@@ -412,24 +365,25 @@ class CheckpointManifest:
         self.path = path
         self.grid_id = grid_id
         self.total = total
-        self.completed: list[list] = []
+        self.completed: list[dict] = []
         self.quarantined: list[dict] = []
-        self._seen: set[tuple] = set()
+        self._seen: set = set()
         self.lease = lease if lease is not None else FileLease(
             path.with_suffix(".lease"))
         self.lease_conflict = not self.lease.acquire()
+        from repro.experiments.spec import RunSpec
         try:
             prior = json.loads(self.path.read_text(encoding="utf-8"))
             if prior.get("grid_id") == grid_id:
                 self.completed = list(prior.get("completed", []))
                 self.quarantined = list(prior.get("quarantined", []))
-                self._seen = {tuple(p) for p in self.completed}
-        except (OSError, ValueError):
+                self._seen = {RunSpec.from_dict(d) for d in self.completed}
+        except (OSError, ValueError, TypeError):
             pass  # absent or corrupt: start a fresh ledger
 
     @staticmethod
     def for_grid(cache: "RunCache | None",
-                 grid: list[tuple]) -> "CheckpointManifest | None":
+                 grid: list) -> "CheckpointManifest | None":
         """The manifest for this grid, or ``None`` with the cache off."""
         if cache is None:
             return None
@@ -449,15 +403,15 @@ class CheckpointManifest:
         """Points already ledgered by a previous (interrupted) campaign."""
         return len(self._seen)
 
-    def complete(self, point: tuple) -> None:
-        if point in self._seen:
+    def complete(self, spec) -> None:
+        if spec in self._seen:
             return
-        self._seen.add(point)
-        self.completed.append(list(point))
+        self._seen.add(spec)
+        self.completed.append(spec.to_dict())
         self.flush()
 
-    def quarantine(self, point: tuple, error: str) -> None:
-        self.quarantined.append({"point": list(point), "error": error})
+    def quarantine(self, spec, error: str) -> None:
+        self.quarantined.append({"spec": spec.to_dict(), "error": error})
         self.flush()
 
     def release(self) -> None:

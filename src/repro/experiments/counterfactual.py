@@ -11,11 +11,13 @@ properties the rest of the repo already paid for make this practical:
   counterfactual differs from the original *only* by the edit
   (``tests/test_counterfactual_exact.py`` pins this bit-for-bit under
   both the serial and the lockstep batch engine);
-* **the content-addressed run cache** — probes are params-keyed through
-  :class:`~repro.experiments.backend.ScoredResultStore`, so a repeated
+* **the content-addressed run cache** — a probe is a
+  :class:`~repro.experiments.spec.RunSpec` (the subject plus the edited
+  intervention) committed through the one
+  :class:`~repro.experiments.backend.ResultStore`, so a repeated
   explanation re-simulates nothing, probes are shardable across any
-  fleet that shares the cache directory, and every probe commits
-  exactly once.
+  fleet that shares the cache directory, every probe commits exactly
+  once, and an unedited probe of a grid point *is* that grid point.
 
 The search cores (:func:`ddmin_interval`, :func:`ddmin_subset`,
 :func:`bisect_intensity`) are pure functions over a ``violates``
@@ -44,7 +46,6 @@ from repro.attacks.campaign import (
     ATTACK_CLASSES,
     AttackCampaign,
     campaign_classes,
-    reparameterized_attack,
 )
 from repro.core.diagnosis import (
     DiagnosisResult,
@@ -53,14 +54,10 @@ from repro.core.diagnosis import (
 )
 from repro.core.knowledge import KnowledgeBase, default_knowledge_base
 from repro.core.verdicts import CheckReport
+from repro.experiments.spec import RunSpec, make_campaigns
 from repro.experiments.stats import STATS, GridStats
-from repro.faults.campaign import (
-    FaultCampaign,
-    fault_classes,
-    reparameterized_fault,
-)
-from repro.sim.engine import RunResult, run_scenario
-from repro.sim.scenario import Scenario, acc_scenario, standard_scenarios
+from repro.faults.campaign import FaultCampaign, fault_classes
+from repro.sim.engine import RunResult
 
 __all__ = [
     "CausalReport",
@@ -85,9 +82,6 @@ __all__ = [
     "probe_params",
     "subset_probe_tree",
 ]
-
-PROBE_KIND = "counterfactual"
-"""``params["kind"]`` discriminator for every probe cache entry."""
 
 DEFAULT_BUDGET = 48
 """Default probe budget per explanation (every probe counts, cached or not)."""
@@ -488,118 +482,29 @@ class Intervention:
             faults=tuple(c for c in self.faults if ("fault", c) in keep),
         )
 
-    def edit_dict(self) -> dict:
-        """Canonical JSON description — the probe cache-key component.
-
-        Every field rides in the key, so an *edited* intervention can
-        never alias the original entry or a sibling edit (the
-        key-collision regression in ``tests/test_counterfactual.py``
-        pins this).  An unbounded window serialises as ``None`` (JSON
-        has no infinity).
-        """
-        return {
-            "attacks": list(self.attacks),
-            "faults": list(self.faults),
-            "intensity": float(self.intensity),
-            "onset": float(self.onset),
-            "end": None if math.isinf(self.end) else float(self.end),
-        }
-
     def campaigns(self) -> tuple[AttackCampaign, FaultCampaign]:
         """Instantiate the attack and fault campaigns for this probe."""
-        attack = reparameterized_attack(
-            "+".join(self.attacks) if self.attacks else "none",
-            intensity=self.intensity, onset=self.onset, end=self.end)
-        fault = reparameterized_fault(
-            "+".join(self.faults) if self.faults else "none",
-            intensity=self.intensity, onset=self.onset, end=self.end)
-        return attack, fault
+        return make_campaigns(self.attacks, self.faults, self.intensity,
+                              self.onset, self.end)
 
 
-@dataclass(frozen=True, slots=True)
-class Subject:
-    """The run under explanation: everything probes share with it.
-
-    ``gate``/``defect`` extend the subject beyond the cartesian grid to
-    the off-grid E10/E13 configurations: an innovation-gated estimator
-    (``EkfConfig(gate_nis=gate)``) and a deliberately defective lateral
-    controller (``DefectiveController(make_defect(defect,
-    **dict(defect_args)))``), so ``adassure explain`` can reproduce any
-    planner-recorded run, not just grid points.
-    """
-
-    scenario: str
-    controller: str
-    seed: int
-    duration: float | None = None
-    gate: float | None = None
-    defect: str | None = None
-    defect_args: tuple = ()
-    """Defect constructor kwargs as a hashable ``((key, value), ...)``."""
-
-    def ekf_config(self):
-        """The estimator override probes must share with the subject."""
-        if self.gate is None:
-            return None
-        from repro.control.estimator import EkfConfig
-        return EkfConfig(gate_nis=self.gate)
-
-    def build_follower(self, scenario: Scenario):
-        """The follower exactly as ``run_scenario`` (or, under
-        ``defect``, the E13 harness) constructs it."""
-        from repro.control.acc import AccController
-        from repro.control.base import make_lateral_controller
-        from repro.control.follower import SpeedProfile, WaypointFollower
-        lateral = make_lateral_controller(self.controller)
-        if self.defect:
-            from repro.control.defects import DefectiveController, make_defect
-            lateral = DefectiveController(
-                lateral, make_defect(self.defect, **dict(self.defect_args)))
-        return WaypointFollower(
-            lateral,
-            profile=SpeedProfile(cruise_speed=scenario.cruise_speed),
-            acc=AccController() if scenario.lead is not None else None,
-        )
-
-    def build_scenario(self) -> Scenario:
-        """Reconstruct the scenario exactly as the grid runner does."""
-        if self.scenario == "acc_follow":
-            scenario = acc_scenario(seed=self.seed)
-            if self.duration is not None:
-                import dataclasses
-                scenario = dataclasses.replace(scenario,
-                                               duration=self.duration)
-            return scenario
-        scenarios = standard_scenarios(seed=self.seed, duration=self.duration)
-        if self.scenario not in scenarios:
-            raise ValueError(
-                f"unknown scenario {self.scenario!r}; "
-                f"expected one of {sorted(scenarios)} or 'acc_follow'")
-        return scenarios[self.scenario]
+Subject = RunSpec
+"""The run under explanation: the :class:`~repro.experiments.spec.RunSpec`
+every probe shares — scenario, controller, seed, duration and the
+off-grid knobs (EKF gate, controller defect, supervisor), so
+``adassure explain`` can reproduce any cached run.  Its own injection
+fields are not used: each probe supplies an :class:`Intervention`."""
 
 
-def probe_params(subject: Subject, intervention: Intervention) -> dict:
-    """The :class:`~repro.experiments.backend.ScoredResultStore` params
-    dict for one probe: subject coordinates plus the *full* intervention
-    edit, so a modified intervention never aliases the original grid
-    entry (different key space entirely) or any sibling probe.  The
-    off-grid subject extensions (``gate``, ``defect``) join the key only
-    when set, so plain grid subjects keep their established key space."""
-    params = {
-        "kind": PROBE_KIND,
-        "scenario": subject.scenario,
-        "controller": subject.controller,
-        "seed": int(subject.seed),
-        "duration": None if subject.duration is None
-        else float(subject.duration),
-        "edit": intervention.edit_dict(),
-    }
-    if subject.gate is not None:
-        params["gate"] = float(subject.gate)
-    if subject.defect:
-        params["defect"] = subject.defect
-        params["defect_args"] = [[k, v] for k, v in subject.defect_args]
-    return params
+def probe_params(subject: Subject, intervention: Intervention) -> RunSpec:
+    """The :class:`~repro.experiments.spec.RunSpec` of one probe: the
+    subject with the *full* intervention edit, so an edited intervention
+    never aliases the original run or any sibling probe — and an
+    unedited one is exactly the original run's entry."""
+    return replace(subject, attacks=intervention.attacks,
+                   faults=intervention.faults,
+                   intensity=intervention.intensity,
+                   onset=intervention.onset, end=intervention.end)
 
 
 @dataclass(frozen=True, slots=True)
@@ -624,8 +529,8 @@ class ProbeEngine:
 
     Every probe — cached or fresh — counts against the budget, so the
     explanation a given budget produces is deterministic regardless of
-    cache temperature.  All execution funnels through the params-keyed
-    :class:`~repro.experiments.backend.ScoredResultStore`
+    cache temperature.  All execution funnels through the one
+    :class:`~repro.experiments.backend.ResultStore`
     (:func:`~repro.experiments.runner.scored_store`), which is what makes
     probes cached, shardable and exactly-once; per-probe memo/disk hits
     accumulate into one :class:`~repro.experiments.stats.GridStats`
@@ -646,8 +551,8 @@ class ProbeEngine:
         self.stats = GridStats(workers=1)
         self.stats.sim_engine = self.sim_engine
         self.stats.sim_engine_reason = engine_reason
-        self._speculative: dict[str, RunResult] = {}
-        """Prefetched-and-simulated lanes (canonical params -> raw
+        self._speculative: dict[RunSpec, RunResult] = {}
+        """Prefetched-and-simulated lanes (probe spec -> raw
         :class:`RunResult`) not yet consumed by :meth:`outcome` —
         ``speculative_wasted`` is its size.  Lanes are held raw: the
         assertion check and the store commit are deferred until a search
@@ -670,59 +575,35 @@ class ProbeEngine:
         return self.budget.used
 
     # -- execution ------------------------------------------------------
-    def _simulate(self, intervention: Intervention) -> RunResult:
-        scenario = self.subject.build_scenario()
-        attack, faults = intervention.campaigns()
-        if self.subject.defect:
-            # `run_scenario` cannot express a defective controller; build
-            # the follower the way the E13 harness does.
-            from repro.sim.engine import SimulationRunner
-            follower = self.subject.build_follower(scenario)
-            return SimulationRunner(scenario, follower, attack,
-                                    self.subject.ekf_config(),
-                                    faults=faults).run()
-        return run_scenario(scenario, controller=self.subject.controller,
-                            campaign=attack, faults=faults,
-                            ekf_config=self.subject.ekf_config())
-
     def _resolve_or_run(self, intervention: Intervention):
-        import time
-
-        from repro.core.checker import check_trace
-        params = probe_params(self.subject, intervention)
-        canon = self.store.canonical(params)
-        spec = self._speculative.pop(canon, None)
-        if spec is not None:
+        from repro.experiments.runner import _execute_point, _score
+        spec = probe_params(self.subject, intervention)
+        raw = self._speculative.pop(spec, None)
+        if raw is not None:
             # Consume a speculative lane: it was simulated in a prefetch
             # batch but the check and commit were deferred to here so
             # that wasted lanes never pay them.  `executed` was already
             # counted at prefetch time; this is a memo hit.
-            t1 = time.perf_counter()
-            report = check_trace(spec.trace)
-            t2 = time.perf_counter()
-            self.store.commit(params, (spec, report))
+            run, phases = _score(spec, raw)
             self.stats.memo_hits += 1
             self.stats.speculative_wasted = len(self._speculative)
-            self.stats.phase_time["check"] += t2 - t1
-            return spec, report, "memo"
-        hit = self.store.resolve(params)
-        if hit is not None:
-            (result, report), source = hit
-            if source == "memo":
-                self.stats.memo_hits += 1
-            else:
-                self.stats.disk_hits += 1
-            return result, report, source
-        t0 = time.perf_counter()
-        result = self._simulate(intervention)
-        t1 = time.perf_counter()
-        report = check_trace(result.trace)
-        t2 = time.perf_counter()
-        self.store.commit(params, (result, report))
-        self.stats.executed += 1
-        self.stats.phase_time["simulate"] += t1 - t0
-        self.stats.phase_time["check"] += t2 - t1
-        return result, report, "sim"
+            source = "memo"
+        else:
+            hit = self.store.resolve(spec)
+            if hit is not None:
+                run, source = hit
+                if source == "memo":
+                    self.stats.memo_hits += 1
+                else:
+                    self.stats.disk_hits += 1
+                return run, source
+            _, run, phases = _execute_point(spec)
+            self.stats.executed += 1
+            source = "sim"
+        self.store.commit(spec, run)
+        for phase, seconds in phases.items():
+            self.stats.phase_time[phase] += seconds
+        return run, source
 
     def prefetch(self, interventions) -> int:
         """Batch-simulate uncached probes through the lockstep engine.
@@ -731,61 +612,37 @@ class ProbeEngine:
         semantic: results are bit-identical to the serial path (the
         differential suite pins this), so prefetching never changes an
         explanation — and it charges no budget (the later
-        :meth:`outcome` calls do).  Returns the number of lanes batched.
-        Any engine rejection falls back silently to per-probe serial
-        simulation.
+        :meth:`outcome` calls do).  Uses the drain's simulate-only half
+        (:func:`~repro.experiments.runner.simulate_batch`): lanes stay
+        raw and uncommitted until consumed.  Returns the number of lanes
+        batched; an engine rejection batches nothing (the probes then
+        simulate serially when asked for).
         """
         if not self.speculate or self.sim_engine != "batch":
             return 0
-        from repro.sim.batch import LaneSpec, run_batch
-        pending: list[tuple[dict, str, Intervention]] = []
-        seen: set[str] = set()
+        from repro.experiments.runner import simulate_batch
+        pending: dict[RunSpec, None] = {}
         for intervention in interventions:
-            params = probe_params(self.subject, intervention)
-            canon = self.store.canonical(params)
-            if canon in seen or canon in self._speculative:
-                continue
-            seen.add(canon)
-            if self.store.resolve(params) is None:
-                pending.append((params, canon, intervention))
-        if not pending:
-            return 0
-        scenario = self.subject.build_scenario()
-        ekf_config = self.subject.ekf_config()
-        specs = []
-        for _, _, intervention in pending:
-            attack, faults = intervention.campaigns()
-            specs.append(LaneSpec(scenario=scenario,
-                                  follower=self.subject.build_follower(
-                                      scenario),
-                                  campaign=attack, ekf_config=ekf_config,
-                                  faults=faults))
-        from repro.sim.batch.controllers import dare_memo_counters
-        dare0 = dare_memo_counters()
-        try:
-            results = run_batch(specs)
-        except Exception:
-            self.stats.batch_fallbacks += 1
-            return 0
-        dare1 = dare_memo_counters()
-        self.stats.dare_memo_hits += dare1["hits"] - dare0["hits"]
-        self.stats.dare_memo_solves += dare1["solves"] - dare0["solves"]
-        for (_, canon, _), result in zip(pending, results):
-            # Held raw: check + commit happen lazily in _resolve_or_run
-            # iff a search consumes the lane.
-            self._speculative[canon] = result
-        self.stats.batch_groups += 1
-        self.stats.batch_points += len(pending)
-        self.stats.executed += len(pending)
-        self.stats.speculative_issued += len(pending)
+            spec = probe_params(self.subject, intervention)
+            if (spec not in pending and spec not in self._speculative
+                    and self.store.resolve(spec) is None):
+                pending[spec] = None
+        issued: dict[RunSpec, RunResult] = {}
+        simulate_batch(list(pending), self.stats, issued.__setitem__)
+        # Held raw: check + commit happen lazily in _resolve_or_run iff
+        # a search consumes the lane.
+        self._speculative.update(issued)
+        self.stats.executed += len(issued)
+        self.stats.speculative_issued += len(issued)
         self.stats.speculative_wasted = len(self._speculative)
-        return len(pending)
+        return len(issued)
 
     def outcome(self, intervention: Intervention) -> ProbeOutcome:
         """Run one probe (budget-charged) and score it against the
         baseline violation signature."""
         self.budget.charge()
-        result, report, source = self._resolve_or_run(intervention)
+        run, source = self._resolve_or_run(intervention)
+        report = run.report
         fired = tuple(report.fired_ids)
         if self.baseline_fired:
             violated = bool(self.baseline_fired & set(fired))
@@ -797,7 +654,7 @@ class ProbeEngine:
                    for aid, s in report.summaries.items()}
         return ProbeOutcome(violated=violated, fired=fired,
                             evidence=report.evidence(), margins=margins,
-                            report=report, result=result, source=source)
+                            report=report, result=run.result, source=source)
 
     def violates(self, intervention: Intervention) -> bool:
         return self.outcome(intervention).violated
@@ -959,7 +816,7 @@ def counterfactual_tiebreak(run, onset: float | None = None,
     counterfactual separates the candidates.
 
     Args:
-        run: a :class:`~repro.experiments.runner.GridRun`.
+        run: a :class:`~repro.experiments.spec.GridRun`.
         onset: injection onset; defaults to the trace's recorded
             ground-truth onset.
         duration: the grid's duration override, if any (must match the
@@ -1113,6 +970,8 @@ def explain(
     gate: float | None = None,
     defect: str | None = None,
     defect_args: dict | None = None,
+    supervised: bool = False,
+    end: float = math.inf,
 ) -> CausalReport:
     """Counterfactually isolate the minimal intervention behind a run.
 
@@ -1135,17 +994,17 @@ def explain(
     All probes run through the shared result store; `budget` counts every
     probe, cached or not, so the report is cache-independent.
 
-    ``gate``/``defect``/``defect_args`` extend the subject with the
-    off-grid knobs of the E10/E13 extensions (an NIS-gated estimator, an
-    injected controller defect), so cache keys resolved from those
-    sweeps can be explained too.
+    ``gate``/``defect``/``defect_args``/``supervised`` extend the
+    subject with the off-grid knobs of the E10/E13/E14 extensions (an
+    NIS-gated estimator, an injected controller defect, the degradation
+    supervisor) and ``end`` bounds the injection window, so every run a
+    cache key resolves to (:func:`resolve_cache_key`) can be explained.
     """
-    subject = Subject(scenario=scenario, controller=controller,
-                      seed=int(seed), duration=duration, gate=gate,
-                      defect=defect,
-                      defect_args=tuple(sorted((defect_args or {}).items())))
+    subject = Subject(scenario, controller, seed, duration, gate=gate,
+                      defect=defect, defect_args=defect_args or (),
+                      supervised=supervised)
     original = Intervention.from_labels(attack, fault, intensity=intensity,
-                                        onset=onset)
+                                        onset=onset, end=end)
     engine = ProbeEngine(subject, budget=budget, sim_engine=sim_engine)
     report = CausalReport(subject=subject, intervention=original,
                           violated=False, budget=budget)
@@ -1175,27 +1034,24 @@ def explain(
         # ddmin round can reach, so the deep tail is never lost, just
         # deferred.  A no-op on the serial engine or when the original
         # intervention is empty (nothing to explain, nothing to batch).
-        # A warm store (the original probe already resolves) also turns
+        # A store holding a prior explanation of this run also turns
         # speculation off for the whole explanation: the searches below
-        # replay a prior pass's consumed-probe sequence from cache, and
-        # prefetch would only re-simulate that pass's wasted lanes —
-        # held raw and never committed, by design.
-        if not original.empty and engine.store.resolve(
-                probe_params(subject, original)) is not None:
+        # replay that pass's consumed-probe sequence from cache, and
+        # prefetch would only re-simulate its wasted lanes — held raw
+        # and never committed, by design.
+        windows = (interval_probe_tree(n, limit=16) if span > 0 else ())
+        searches = (
+            [original.with_window(window_time(a), window_time(b))
+             for a, b in windows]
+            + [original.with_channels(subset)
+               for subset in subset_probe_tree(original.channels)]
+            + [original.with_intensity(mid)
+               for mid in intensity_probe_tree(original.intensity)])
+        if not original.empty and _explained_before(
+                engine, subject, original, searches[:1]):
             engine.speculate = False
         if not original.empty and engine.speculate:
-            speculative: list[Intervention] = [original, original.removed()]
-            if span > 0:
-                speculative.extend(
-                    original.with_window(window_time(a), window_time(b))
-                    for a, b in interval_probe_tree(n, limit=16))
-            speculative.extend(
-                original.with_channels(subset)
-                for subset in subset_probe_tree(original.channels))
-            speculative.extend(
-                original.with_intensity(mid)
-                for mid in intensity_probe_tree(original.intensity))
-            engine.prefetch(speculative)
+            engine.prefetch([original, original.removed()] + searches)
 
         base = engine.outcome(original)
         report.fired = base.fired
@@ -1371,111 +1227,49 @@ def explain(
         engine.record_stats()
 
 
+def _explained_before(engine: ProbeEngine, subject: Subject,
+                      original: Intervention, first_search) -> bool:
+    """The store holds every probe a previous explanation of this run
+    consumed first: the baseline, then — unless the baseline violates
+    nothing — the clean counterfactual, then — when those two show a
+    necessary cause — the first search probe.  The baseline alone is not
+    evidence: it is also the cached grid point of a campaign."""
+    def cached(intervention):
+        hit = engine.store.resolve(probe_params(subject, intervention))
+        return None if hit is None else hit[0].report
+
+    base = cached(original)
+    if base is None or not base.any_fired:
+        return base is not None
+    clean = cached(original.removed())
+    if clean is None:
+        return False
+    if not set(base.fired_ids) - set(clean.fired_ids):
+        return True  # not necessary: the explanation stops here
+    return all(cached(probe) is not None for probe in first_search)
+
+
 _CACHE_KEY_RE = re.compile(r"^[0-9a-f]{40}$")
 
 
-def resolve_cache_key(key: str):
-    """Map a 40-hex run-cache key back to an explainable run, if known.
+def resolve_cache_key(key: str) -> RunSpec | None:
+    """Map a 40-hex run-cache key back to its :class:`RunSpec`, if known.
 
-    Grid entries: scans the cache's checkpoint manifests (each records
-    the full point list of a campaign) and returns the first *grid
-    point tuple* whose :func:`~repro.experiments.cache.cache_key`
-    matches.  Off-grid entries (``run_scored`` / planner configurations
-    — the E10–E13 sweeps): falls back to the cache's params ledger
-    (:meth:`~repro.experiments.cache.RunCache.load_params`) and returns
-    a *dict of keyword arguments* for :func:`explain`.  Returns ``None``
-    when neither side knows the key.
+    Every commit ledgers its spec next to the entry
+    (:meth:`~repro.experiments.cache.RunCache.record_params`), so grid
+    points, the E10–E14 sweeps and counterfactual probes all resolve the
+    same way: load the ledger entry, decode the spec.  Returns ``None``
+    when the cache holds no (readable) ledger entry for ``key``.
     """
     if not _CACHE_KEY_RE.match(key):
         raise ValueError(f"{key!r} is not a 40-hex cache key")
-    import json
-
-    from repro.experiments.cache import RunCache, cache_key
+    from repro.experiments.cache import RunCache
     cache = RunCache.from_env()
-    if cache is None:
+    data = cache.load_params(key) if cache is not None else None
+    if data is None:
         return None
-    checkpoint_dir = cache.root / "checkpoints"
-    if checkpoint_dir.is_dir():
-        for manifest_path in sorted(checkpoint_dir.glob("*.json")):
-            try:
-                data = json.loads(manifest_path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue
-            for entry in data.get("completed", []):
-                point = tuple(entry)
-                try:
-                    if cache_key(*point) == key:
-                        return point
-                except (TypeError, ValueError):
-                    continue
-    params = cache.load_params(key)
-    if params is not None:
-        return _explain_kwargs(params)
-    return None
+    try:
+        return RunSpec.from_dict(data)
+    except (TypeError, ValueError):
+        return None
 
-
-def _explain_kwargs(params: dict) -> dict | None:
-    """Translate a params-ledger entry into :func:`explain` kwargs.
-
-    One branch per off-grid params ``kind`` (the E10–E13 sweeps and the
-    probe fleet itself); unknown kinds return ``None`` — better to make
-    the caller pass flags than to explain the wrong run.
-    """
-    kind = params.get("kind")
-    if kind == "mitigation":  # E10
-        kwargs = {
-            "scenario": params["scenario"],
-            "controller": params.get("controller", "pure_pursuit"),
-            "attack": params.get("attack", "none"),
-            "seed": params.get("seed", 7),
-            "onset": params.get("onset", 15.0),
-            "duration": params.get("duration"),
-        }
-        if params.get("gate") is not None:
-            kwargs["gate"] = float(params["gate"])
-        return kwargs
-    if kind == "multi_attack":  # E11
-        return {
-            "scenario": params["scenario"],
-            "controller": "pure_pursuit",
-            "attack": "+".join(params["pair"]),
-            "seed": params.get("seed", 7),
-            "onset": params.get("onset", 15.0),
-        }
-    if kind == "acc":  # E12
-        return {
-            "scenario": "acc_follow",
-            "controller": "pure_pursuit",
-            "attack": params.get("attack", "none"),
-            "seed": params.get("seed", 7),
-            "onset": params.get("onset", 15.0),
-        }
-    if kind == "defect":  # E13
-        defect = params.get("defect")
-        return {
-            "scenario": params["scenario"],
-            "controller": "pure_pursuit",
-            "seed": params.get("seed", 7),
-            "defect": None if defect in (None, "none") else defect,
-            "defect_args": params.get("defect_params") or None,
-        }
-    if kind == PROBE_KIND:  # a probe's own key — re-explain its edit
-        edit = params.get("edit", {})
-        kwargs = {
-            "scenario": params["scenario"],
-            "controller": params.get("controller", "pure_pursuit"),
-            "attack": "+".join(edit.get("attacks", [])) or "none",
-            "fault": "+".join(edit.get("faults", [])) or "none",
-            "intensity": edit.get("intensity", 1.0),
-            "onset": edit.get("onset", 15.0),
-            "seed": params.get("seed", 7),
-            "duration": params.get("duration"),
-        }
-        if params.get("gate") is not None:
-            kwargs["gate"] = float(params["gate"])
-        if params.get("defect"):
-            kwargs["defect"] = params["defect"]
-            kwargs["defect_args"] = dict(
-                (k, v) for k, v in params.get("defect_args", []))
-        return kwargs
-    return None

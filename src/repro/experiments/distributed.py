@@ -5,16 +5,19 @@ fleet) executes one campaign as N independent worker *processes* — on one
 host or many — that share nothing but a cache directory:
 
 * the campaign is serialized once as a :class:`GridSpec`
-  (``<cache>/campaigns/<grid id>.grid.json``), from which every worker
-  re-enumerates byte-identical point tuples and cache keys;
+  (``<cache>/campaigns/<grid id>.grid.json``) — its
+  :class:`~repro.experiments.spec.RunSpec` list plus the coordinator's
+  simulation-engine choice — from which every worker derives identical
+  cache keys;
 * the grid is striped into shards on a :class:`ShardBoard`
   (``<cache>/checkpoints/<grid id>.shards/``) and each shard is claimed
   through an advisory :class:`~repro.locking.FileLease` with background
   heartbeat renewal (:class:`HeartbeatThread`);
-* every completed point is committed to the content-addressed
-  :class:`~repro.experiments.cache.RunCache` **before** the shard's done
-  marker is written and the lease released — the commit-before-release
-  ordering that makes verdicts exactly-once.
+* every completed point is committed through the one
+  :class:`~repro.experiments.backend.ResultStore` (content-addressed
+  cache + spec ledger) **before** the shard's done marker is written and
+  the lease released — the commit-before-release ordering that makes
+  verdicts exactly-once.
 
 Failure semantics, in one paragraph: a worker that dies mid-shard
 (SIGKILL, OOM, power) stops heartbeating; once its lease heartbeat is
@@ -40,17 +43,17 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from repro.experiments.backend import (
-    BatchExecutor,
     Executor,
+    ResultStore,
     SerialExecutor,
     StripedScheduler,
-    build_grid,
     retry_delay,
 )
+from repro.experiments.spec import RunSpec
 from repro.locking import FileLease, default_lease_ttl, lease_state
 
 __all__ = [
@@ -114,77 +117,46 @@ def resolve_shard_points(n_points: int, n_workers: int,
 
 @dataclass(slots=True)
 class GridSpec:
-    """Everything a worker needs to re-enumerate the exact campaign grid."""
+    """Everything a worker needs to run the exact campaign: its specs,
+    the shard size, and how the coordinator picked the engine."""
 
-    scenarios: tuple
-    controllers: tuple
-    attacks: tuple
-    seeds: tuple
-    intensity: float
-    onset: float
-    duration: float | None
+    specs: tuple[RunSpec, ...]
     shard_points: int
     grid_id: str
     code: str
     catalog: str
+    sim_engine: str | None = None
+    """Engine the workers run (``None``: each worker auto-selects)."""
+    sim_engine_reason: str = ""
+    """Why the coordinator chose it
+    (:func:`~repro.experiments.runner.choose_sim_engine`)."""
 
     @staticmethod
-    def build(scenarios, controllers, attacks, seeds, intensity, onset,
-              duration, shard_points: int) -> "GridSpec":
+    def build(specs, shard_points: int, sim_engine: str | None = None,
+              sim_engine_reason: str = "") -> "GridSpec":
         import repro
         from repro.core.spec import catalog_fingerprint
         from repro.experiments.cache import grid_identity
 
-        grid = build_grid(scenarios, controllers, attacks, seeds,
-                          intensity=intensity, onset=onset, duration=duration)
+        specs = tuple(specs)
         return GridSpec(
-            scenarios=tuple(scenarios), controllers=tuple(controllers),
-            attacks=tuple(attacks), seeds=tuple(int(s) for s in seeds),
-            intensity=float(intensity), onset=float(onset),
-            duration=None if duration is None else float(duration),
-            shard_points=int(shard_points),
-            grid_id=grid_identity(grid),
-            code=repro.__version__,
-            catalog=catalog_fingerprint(),
+            specs=specs, shard_points=int(shard_points),
+            grid_id=grid_identity(specs), code=repro.__version__,
+            catalog=catalog_fingerprint(), sim_engine=sim_engine,
+            sim_engine_reason=sim_engine_reason,
         )
 
-    def points(self) -> list[tuple]:
-        """The canonical point list — identical on every host."""
-        return build_grid(self.scenarios, self.controllers, self.attacks,
-                          self.seeds, intensity=self.intensity,
-                          onset=self.onset, duration=self.duration)
-
     def as_dict(self) -> dict:
-        return {
-            "scenarios": list(self.scenarios),
-            "controllers": list(self.controllers),
-            "attacks": list(self.attacks),
-            "seeds": list(self.seeds),
-            "intensity": self.intensity,
-            "onset": self.onset,
-            "duration": self.duration,
-            "shard_points": self.shard_points,
-            "grid_id": self.grid_id,
-            "code": self.code,
-            "catalog": self.catalog,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["specs"] = [spec.to_dict() for spec in self.specs]
+        return data
 
     @staticmethod
     def from_dict(payload: dict) -> "GridSpec":
-        return GridSpec(
-            scenarios=tuple(payload["scenarios"]),
-            controllers=tuple(payload["controllers"]),
-            attacks=tuple(payload["attacks"]),
-            seeds=tuple(int(s) for s in payload["seeds"]),
-            intensity=float(payload["intensity"]),
-            onset=float(payload["onset"]),
-            duration=(None if payload["duration"] is None
-                      else float(payload["duration"])),
-            shard_points=int(payload["shard_points"]),
-            grid_id=payload["grid_id"],
-            code=payload["code"],
-            catalog=payload["catalog"],
-        )
+        return GridSpec(**{
+            **payload,
+            "specs": tuple(RunSpec.from_dict(d) for d in payload["specs"]),
+        })
 
     def save(self, cache) -> Path:
         path = cache.root / "campaigns" / f"{self.grid_id}.grid.json"
@@ -242,7 +214,7 @@ class ShardBoard:
     def __init__(self, cache, spec: GridSpec):
         self.cache = cache
         self.spec = spec
-        self.points = spec.points()
+        self.points = list(spec.specs)
         self.dir = cache.root / "checkpoints" / f"{spec.grid_id}.shards"
         self.board_path = self.dir / "board.json"
         scheduler = StripedScheduler(spec.shard_points)
@@ -261,7 +233,7 @@ class ShardBoard:
     def done_path(self, index: int) -> Path:
         return self.dir / f"shard-{index:04d}.done.json"
 
-    def shard_points(self, shard: Shard) -> list[tuple]:
+    def shard_points(self, shard: Shard) -> list[RunSpec]:
         return self.points[shard.start:shard.stop]
 
     # -- board ----------------------------------------------------------
@@ -404,21 +376,11 @@ class WorkerReport:
     wall_s: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "worker_id": self.worker_id,
-            "shards_claimed": self.shards_claimed,
-            "shards_reclaimed": self.shards_reclaimed,
-            "points_executed": self.points_executed,
-            "points_skipped": self.points_skipped,
-            "heartbeats": self.heartbeats,
-            "lease_conflicts": self.lease_conflicts,
-            "stale_breaks": self.stale_breaks,
-            "quarantined": [
-                {"point": list(point), "error": error}
-                for point, error in self.quarantined
-            ],
-            "wall_s": round(self.wall_s, 4),
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["quarantined"] = [{"spec": spec.to_dict(), "error": error}
+                               for spec, error in self.quarantined]
+        data["wall_s"] = round(self.wall_s, 4)
+        return data
 
 
 def _chaos_kill_budget() -> int | None:
@@ -429,6 +391,23 @@ def _chaos_kill_budget() -> int | None:
         return max(int(env), 0)
     except ValueError:
         return None
+
+
+class _WorkerStore(ResultStore):
+    """A worker's commit point: the shared store plus the chaos hook."""
+
+    def __init__(self, cache, catalog: str):
+        super().__init__(cache, catalog)
+        self.kill_after = _chaos_kill_budget()
+        self.committed = 0
+
+    def commit(self, spec, run) -> None:
+        super().commit(spec, run)
+        self.committed += 1
+        if self.kill_after is not None and self.committed >= self.kill_after:
+            # Chaos hook: die *after* the result commit but *before* any
+            # shard bookkeeping — the exactly-once window under test.
+            os.kill(os.getpid(), signal.SIGKILL)
 
 
 def run_worker(
@@ -466,27 +445,13 @@ def run_worker(
         raise ValueError(
             "distributed workers need the disk cache (the shared result "
             "store); unset ADASSURE_CACHE=0")
+    store = _WorkerStore(cache, spec.catalog)
     board = ShardBoard(cache, spec)
     board.ensure()
-    engine = runner.resolve_sim_engine(sim_engine)
-    retries = runner._point_retries(retries)
-    chaos_budget = _chaos_kill_budget()
-    committed_total = 0
+    serial = SerialExecutor(runner._point_retries(retries))
     waited = 0.0
     max_wait_s = (_dist_timeout(None) if max_wait_s is None
                   else float(max_wait_s))
-
-    def commit(point: tuple, run, phases) -> None:
-        nonlocal committed_total
-        from repro.experiments.cache import cache_key
-        cache.store(cache_key(*point, catalog=spec.catalog),
-                    run.result, run.report, run.diagnosis)
-        report.points_executed += 1
-        committed_total += 1
-        if chaos_budget is not None and committed_total >= chaos_budget:
-            # Chaos hook: die *after* the result commit but *before* any
-            # shard bookkeeping — the exactly-once window under test.
-            os.kill(os.getpid(), signal.SIGKILL)
 
     while True:
         progressed = False
@@ -500,9 +465,7 @@ def run_worker(
                 continue
             report.stale_breaks += lease.stale_breaks
             points = board.shard_points(shard)
-            missing = [p for p in points
-                       if not cache.contains(
-                           _point_key(p, spec.catalog))]
+            missing = [p for p in points if not store.contains(p)]
             skipped = len(points) - len(missing)
             if skipped:
                 # A previous claimant committed part of this shard and
@@ -512,21 +475,18 @@ def run_worker(
             heartbeat = HeartbeatThread(lease)
             heartbeat.start()
             stats = GridStats(workers=1, grid_points=len(points))
-            quarantined: list = []
-
-            def quarantine(point: tuple, error: str) -> None:
-                quarantined.append((point, error))
-                report.quarantined.append((point, error))
 
             try:
-                items = [(p, 0) for p in missing]
-                if engine == "batch" and len(items) > 1:
-                    items = BatchExecutor().execute(items, commit, stats)
-                SerialExecutor(retries).execute(items, commit, stats,
-                                                quarantine)
+                runner.drain(
+                    missing, store, stats,
+                    sim_engine=sim_engine or spec.sim_engine,
+                    fallback=lambda specs, merge: serial.execute(
+                        [(s, 0) for s in specs], merge, stats))
             finally:
                 heartbeat.stop()
                 report.heartbeats += heartbeat.beats
+            report.points_executed += stats.executed
+            report.quarantined.extend(stats.quarantined)
             holder = lease.holder()
             if holder is not None and holder.get("owner") != lease.owner_id:
                 # Duplicate claimant stole the lease mid-shard (forced
@@ -541,13 +501,13 @@ def run_worker(
             board.mark_done(shard.index, {
                 "owner": lease.owner_id,
                 "points": len(points),
-                "executed": len(missing) - len(quarantined),
+                "executed": stats.executed,
                 "skipped": skipped,
                 "reclaimed": bool(skipped),
                 "heartbeats": heartbeat.beats,
                 "quarantined": [
-                    {"point": list(point), "error": error}
-                    for point, error in quarantined
+                    {"spec": s.to_dict(), "error": error}
+                    for s, error in stats.quarantined
                 ],
             })
             lease.release()
@@ -569,11 +529,6 @@ def run_worker(
                 break
     report.wall_s = time.perf_counter() - wall_start
     return report
-
-
-def _point_key(point: tuple, catalog: str) -> str:
-    from repro.experiments.cache import cache_key
-    return cache_key(*point, catalog=catalog)
 
 
 # ---------------------------------------------------------------------------
@@ -600,15 +555,17 @@ class DistributedExecutor(Executor):
 
     name = "distributed"
 
-    def __init__(self, grid: list[tuple], store, n_workers: int,
+    def __init__(self, grid: list[RunSpec], store, n_workers: int,
                  shard_points: int | None = None,
                  sim_engine: str | None = None,
+                 sim_engine_reason: str = "",
                  timeout: float | None = None):
         self.grid = grid
         self.store = store
         self.n_workers = max(int(n_workers), 1)
         self.shard_points = shard_points
         self.sim_engine = sim_engine
+        self.sim_engine_reason = sim_engine_reason
         self.timeout = timeout
 
     def _spawn(self, spec_path: Path, index: int) -> subprocess.Popen:
@@ -619,8 +576,6 @@ class DistributedExecutor(Executor):
         # Workers run their shards serially/batched; they are the
         # parallelism, so no nested pools.
         env["ADASSURE_WORKERS"] = "1"
-        if self.sim_engine:
-            env["ADASSURE_SIM"] = self.sim_engine
         pkg_root = str(Path(repro.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = (pkg_root + os.pathsep + env["PYTHONPATH"]
                              if env.get("PYTHONPATH") else pkg_root)
@@ -639,14 +594,9 @@ class DistributedExecutor(Executor):
         assert cache is not None, "distributed mode requires the disk cache"
         shard_points = resolve_shard_points(len(self.grid), self.n_workers,
                                             self.shard_points)
-        spec = GridSpec.build(
-            scenarios=_unique(p[0] for p in self.grid),
-            controllers=_unique(p[1] for p in self.grid),
-            attacks=_unique(p[2] for p in self.grid),
-            seeds=_unique(p[4] for p in self.grid),
-            intensity=self.grid[0][3], onset=self.grid[0][5],
-            duration=self.grid[0][6], shard_points=shard_points,
-        )
+        spec = GridSpec.build(self.grid, shard_points,
+                              sim_engine=self.sim_engine,
+                              sim_engine_reason=self.sim_engine_reason)
         spec_path = spec.save(cache)
         board = ShardBoard(cache, spec)
         board.ensure()
@@ -696,14 +646,6 @@ class DistributedExecutor(Executor):
         if board.all_done() and not leftover:
             board.cleanup()
         return leftover
-
-
-def _unique(values) -> tuple:
-    seen: list = []
-    for value in values:
-        if value not in seen:
-            seen.append(value)
-    return tuple(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import statistics
 
-from repro.attacks.campaign import standard_attack
-from repro.control.estimator import EkfConfig
+from dataclasses import replace
+
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.plan import ProbePlan, scenario_lane
+from repro.experiments.plan import ProbePlan
+from repro.experiments.spec import RunSpec
 from repro.experiments.tables import Table
-from repro.sim.engine import run_scenario
-from repro.sim.scenario import standard_scenarios
 
 __all__ = ["build_mitigation_table"]
 
@@ -38,10 +37,10 @@ def build_mitigation_table(config: ExperimentConfig | None = None,
     ``workers`` is accepted for experiment-interface uniformity; the
     whole sweep is declared up front to a
     :class:`~repro.experiments.plan.ProbePlan` — all (attack, seed,
-    gate) configurations share one scenario/duration compatibility
-    group, so a cold campaign drains as batch-engine lane groups, and
-    everything commits through the shared params-keyed cache so
-    repeated campaigns re-simulate nothing.
+    gate) specs share one scenario/duration compatibility group, so a
+    cold campaign drains as batch-engine lane groups, and everything
+    commits through the shared result store so repeated campaigns
+    re-simulate nothing.
     """
     config = config or ExperimentConfig.full()
     table = Table(
@@ -55,42 +54,11 @@ def build_mitigation_table(config: ExperimentConfig | None = None,
     sweep: dict[tuple, tuple] = {}
     for attack in ("none",) + _ATTACKS:
         for seed in config.seeds:
-            scenario = standard_scenarios(
-                seed=seed, duration=config.duration)[config.scenario]
-            params = {
-                "kind": "mitigation", "scenario": config.scenario,
-                "controller": "pure_pursuit", "attack": attack,
-                "seed": seed, "onset": config.attack_onset,
-                "duration": config.duration, "gate": None,
-            }
-
-            # Campaigns are built fresh inside every closure: the ungated
-            # and gated runs of one seed can land in the same batch group,
-            # and attack objects carry RNG streams / replay state that a
-            # lane must not share with its neighbour.
-            def campaign(attack=attack):
-                return standard_attack(attack, onset=config.attack_onset)
-
-            def simulate(scenario=scenario, campaign=campaign):
-                return run_scenario(scenario, controller="pure_pursuit",
-                                    campaign=campaign())
-
-            def simulate_gated(scenario=scenario, campaign=campaign):
-                return run_scenario(scenario, controller="pure_pursuit",
-                                    campaign=campaign(),
-                                    ekf_config=EkfConfig(gate_nis=_GATE))
-
+            spec = RunSpec.from_labels(
+                config.scenario, attack=attack, seed=seed,
+                onset=config.attack_onset, duration=config.duration)
             sweep[(attack, seed)] = (
-                plan.plan_scored(
-                    params, simulate,
-                    lane=lambda scenario=scenario, campaign=campaign:
-                    scenario_lane(scenario, campaign=campaign())),
-                plan.plan_scored(
-                    dict(params, gate=_GATE), simulate_gated,
-                    lane=lambda scenario=scenario, campaign=campaign:
-                    scenario_lane(scenario, campaign=campaign(),
-                                  ekf_config=EkfConfig(gate_nis=_GATE))),
-            )
+                plan.add(spec), plan.add(replace(spec, gate=_GATE)))
 
     for attack in ("none",) + _ATTACKS:
         ungated, gated, ok = [], [], 0

@@ -13,13 +13,11 @@ recovers the exact injected set.
 
 from __future__ import annotations
 
-from repro.attacks.campaign import combined_attack
 from repro.core.diagnosis import diagnose, diagnose_multi
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.plan import ProbePlan, scenario_lane
+from repro.experiments.plan import ProbePlan
+from repro.experiments.spec import RunSpec
 from repro.experiments.tables import Table
-from repro.sim.engine import run_scenario
-from repro.sim.scenario import standard_scenarios
 
 __all__ = ["build_multi_attack_table", "ATTACK_PAIRS"]
 
@@ -42,7 +40,7 @@ def build_multi_attack_table(config: ExperimentConfig | None = None,
     :class:`~repro.experiments.plan.ProbePlan` (every run shares the
     full-duration scenario compatibility group, so a cold campaign
     drains as batch-engine lane groups) and commits through the shared
-    params-keyed cache, so repeated campaigns re-simulate nothing.
+    result store, so repeated campaigns re-simulate nothing.
     """
     config = config or ExperimentConfig.full()
     table = Table(
@@ -53,27 +51,15 @@ def build_multi_attack_table(config: ExperimentConfig | None = None,
     )
 
     plan = ProbePlan()
-    sweep: dict[tuple, object] = {}
-    for pair in ATTACK_PAIRS:
-        for seed in config.seeds:
-            # Full scenario duration always: slow-drift members of a pair
-            # need time to accumulate their dead-reckoning signature.
-            scenario = standard_scenarios(seed=seed)[config.scenario]
-            campaign = combined_attack(pair, onset=config.attack_onset)
-
-            def simulate(scenario=scenario, campaign=campaign):
-                return run_scenario(scenario, controller="pure_pursuit",
-                                    campaign=campaign)
-
-            sweep[(pair, seed)] = plan.plan_scored(
-                {"kind": "multi_attack", "pair": list(pair),
-                 "scenario": config.scenario, "seed": seed,
-                 "onset": config.attack_onset},
-                simulate,
-                lane=lambda scenario=scenario, campaign=campaign:
-                scenario_lane(scenario, campaign=campaign),
-                group=(config.scenario, None),
-            )
+    # Full scenario duration always: slow-drift members of a pair need
+    # time to accumulate their dead-reckoning signature.
+    sweep = {
+        (pair, seed): plan.add(RunSpec(
+            config.scenario, seed=seed, attacks=pair,
+            onset=config.attack_onset))
+        for pair in ATTACK_PAIRS
+        for seed in config.seeds
+    }
 
     for pair in ATTACK_PAIRS:
         both_top2 = both_top3 = exact = 0

@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.attacks.campaign import standard_attack
 from repro.core.diagnosis import diagnose
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.plan import ProbePlan, scenario_lane
+from repro.experiments.plan import ProbePlan
+from repro.experiments.spec import RunSpec
 from repro.experiments.tables import Table
-from repro.sim.engine import run_scenario
-from repro.sim.scenario import acc_scenario
 
 __all__ = ["build_acc_debugging", "RADAR_ATTACKS"]
 
@@ -39,7 +37,7 @@ def build_acc_debugging(config: ExperimentConfig | None = None,
     :class:`~repro.experiments.plan.ProbePlan` (all runs share the
     ``acc_follow`` compatibility group, so a cold campaign drains as
     batch-engine lane groups) and commits through the shared
-    params-keyed cache, so repeated campaigns re-simulate nothing.
+    result store, so repeated campaigns re-simulate nothing.
     """
     config = config or ExperimentConfig.full()
     table = Table(
@@ -50,23 +48,13 @@ def build_acc_debugging(config: ExperimentConfig | None = None,
     )
 
     plan = ProbePlan()
-    sweep: dict[tuple, object] = {}
-    for attack in ("none",) + RADAR_ATTACKS:
-        for seed in config.seeds:
-            scenario = acc_scenario(seed=seed)
-            campaign = standard_attack(attack, onset=config.attack_onset)
-
-            def simulate(scenario=scenario, campaign=campaign):
-                return run_scenario(scenario, campaign=campaign)
-
-            sweep[(attack, seed)] = plan.plan_scored(
-                {"kind": "acc", "attack": attack, "seed": seed,
-                 "onset": config.attack_onset},
-                simulate,
-                lane=lambda scenario=scenario, campaign=campaign:
-                scenario_lane(scenario, campaign=campaign),
-                group=("acc_follow", None),
-            )
+    sweep = {
+        (attack, seed): plan.add(RunSpec.from_labels(
+            "acc_follow", attack=attack, seed=seed,
+            onset=config.attack_onset))
+        for attack in ("none",) + RADAR_ATTACKS
+        for seed in config.seeds
+    }
 
     for attack in ("none",) + RADAR_ATTACKS:
         min_gaps, headways, latencies = [], [], []

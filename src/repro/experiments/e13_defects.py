@@ -15,16 +15,13 @@ missed it, and A20 was authored in response (see catalog docstring).
 
 from __future__ import annotations
 
-from repro.control.base import make_lateral_controller
-from repro.control.defects import DEFECT_CLASSES, DefectiveController, make_defect
-from repro.control.follower import SpeedProfile, WaypointFollower
+from repro.control.defects import DEFECT_CLASSES
 from repro.core.diagnosis import diagnose
 from repro.core.knowledge import defect_knowledge_base
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.plan import ProbePlan, scenario_lane
+from repro.experiments.plan import ProbePlan
+from repro.experiments.spec import RunSpec
 from repro.experiments.tables import Table
-from repro.sim.engine import SimulationRunner
-from repro.sim.scenario import standard_scenarios
 
 __all__ = ["build_defect_debugging", "DEFECT_PARAMS"]
 
@@ -40,25 +37,6 @@ DEFECT_PARAMS: dict[str, dict] = {
 _SCENARIO = "s_curve"
 
 
-def _defect_follower(defect_name: str | None, scenario) -> WaypointFollower:
-    lateral = make_lateral_controller("pure_pursuit")
-    if defect_name is not None:
-        lateral = DefectiveController(
-            lateral, make_defect(defect_name, **DEFECT_PARAMS[defect_name])
-        )
-    return WaypointFollower(
-        lateral, profile=SpeedProfile(cruise_speed=scenario.cruise_speed)
-    )
-
-
-def _run_with_defect(defect_name: str | None, seed: int):
-    # Full scenario duration always: truncating the run would fire the
-    # A15 liveness check for the wrong reason (goal unreachable in time).
-    scenario = standard_scenarios(seed=seed)[_SCENARIO]
-    return SimulationRunner(scenario,
-                            _defect_follower(defect_name, scenario)).run()
-
-
 def build_defect_debugging(config: ExperimentConfig | None = None,
                            workers: int | None = None) -> Table:
     """Defect detection + identification table.
@@ -68,8 +46,8 @@ def build_defect_debugging(config: ExperimentConfig | None = None,
     :class:`~repro.experiments.plan.ProbePlan` — defective controllers
     are not vectorizable, so these run as per-lane *object* lanes inside
     the lockstep batch, still one simulation pass per compatible group —
-    and commits through the shared params-keyed cache, so repeated
-    campaigns re-simulate nothing.
+    and commits through the shared result store, so repeated campaigns
+    re-simulate nothing.
     """
     config = config or ExperimentConfig.full()
     kb = defect_knowledge_base()
@@ -82,25 +60,15 @@ def build_defect_debugging(config: ExperimentConfig | None = None,
     )
 
     plan = ProbePlan()
-    sweep: dict[tuple, object] = {}
-    for defect_name in [None] + list(DEFECT_CLASSES):
-        for seed in config.seeds:
-            scenario = standard_scenarios(seed=seed)[_SCENARIO]
-
-            def simulate(defect_name=defect_name, seed=seed):
-                return _run_with_defect(defect_name, seed)
-
-            sweep[(defect_name, seed)] = plan.plan_scored(
-                {"kind": "defect", "defect": defect_name or "none",
-                 "defect_params": DEFECT_PARAMS.get(defect_name, {}),
-                 "scenario": _SCENARIO, "seed": seed},
-                simulate,
-                lane=lambda defect_name=defect_name, scenario=scenario:
-                scenario_lane(scenario,
-                              follower=_defect_follower(defect_name,
-                                                        scenario)),
-                group=(_SCENARIO, None),
-            )
+    # Full scenario duration always: truncating the run would fire the
+    # A15 liveness check for the wrong reason (goal unreachable in time).
+    sweep = {
+        (defect_name, seed): plan.add(RunSpec(
+            _SCENARIO, seed=seed, defect=defect_name,
+            defect_args=DEFECT_PARAMS.get(defect_name, {})))
+        for defect_name in [None] + list(DEFECT_CLASSES)
+        for seed in config.seeds
+    }
 
     for defect_name in [None] + list(DEFECT_CLASSES):
         detected = correct = 0

@@ -30,10 +30,8 @@ import numpy as np
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_scored
+from repro.experiments.spec import RunSpec
 from repro.experiments.tables import Table
-from repro.faults.campaign import combined_fault, standard_fault
-from repro.sim.engine import run_scenario
-from repro.sim.scenario import standard_scenarios
 
 __all__ = ["build_degradation_table", "E14_FAULTS"]
 
@@ -54,31 +52,14 @@ _WATCHED = ("A1", "A21", "A22")
 """The headline assertions reported per cell (full reports are cached)."""
 
 
-def _campaign_for(fault_label: str, onset: float):
-    classes = fault_label.split("+")
-    if len(classes) > 1:
-        return combined_fault(classes, onset=onset)
-    return standard_fault(fault_label, onset=onset)
-
-
-def _run_cell(fault_label: str, supervised: bool, scenario_name: str,
-              seed: int, onset: float, duration: float | None):
-    scenario = standard_scenarios(seed=seed, duration=duration)[scenario_name]
-    return run_scenario(
-        scenario,
-        controller=_CONTROLLER,
-        faults=_campaign_for(fault_label, onset),
-        supervised=supervised,
-    )
-
-
 def build_degradation_table(config: ExperimentConfig | None = None,
                             workers: int | None = None) -> Table:
     """Supervised vs. unsupervised stack across the fault grid.
 
-    ``workers`` is accepted for experiment-interface uniformity; these
-    off-grid runs execute in-process but go through the shared run cache
-    (:func:`~repro.experiments.runner.run_scored`).
+    ``workers`` is accepted for experiment-interface uniformity; each
+    spec runs in-process through the shared result store
+    (:func:`~repro.experiments.runner.run_scored`), one at a time so an
+    unprotected stack's crash is measured per run.
     """
     config = config or ExperimentConfig.full()
     onset = config.attack_onset
@@ -99,19 +80,12 @@ def build_degradation_table(config: ExperimentConfig | None = None,
             stop_latencies: list[float] = []
             fired = {aid: 0 for aid in _WATCHED}
             for seed in config.seeds:
-                params = {
-                    "kind": "degradation", "fault": fault_label,
-                    "supervised": supervised, "scenario": config.scenario,
-                    "controller": _CONTROLLER, "seed": seed,
-                    "onset": onset, "duration": config.duration,
-                }
+                spec = RunSpec.from_labels(
+                    config.scenario, _CONTROLLER, fault=fault_label,
+                    seed=seed, onset=onset, duration=config.duration,
+                    supervised=supervised)
                 try:
-                    result, report = run_scored(
-                        params,
-                        lambda: _run_cell(fault_label, supervised,
-                                          config.scenario, seed, onset,
-                                          config.duration),
-                    )
+                    result, report = run_scored(spec)
                 except ValueError:
                     # The unprotected stack dies when a NaN burst reaches
                     # the estimator; that *is* the measurement.

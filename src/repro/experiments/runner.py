@@ -1,37 +1,41 @@
-"""Grid runner: scenario x controller x attack x seed, with check+diagnose.
+"""The one execution pipeline: :func:`drain`, and the campaigns built on it.
 
-Every experiment funnels through :func:`run_grid` so runs are executed and
-scored uniformly.  Since the scheduler/executor/result-store split
-(:mod:`repro.experiments.backend`), ``run_grid`` is a thin composition:
+Every run the experiments execute is a
+:class:`~repro.experiments.spec.RunSpec`, and every batch of specs goes
+through :func:`drain`:
 
-1. an **in-process LRU memo** (bounded, default 512 runs) lets experiments
-   that share grid points inside one process (e.g. E1 and E2) reuse
-   simulations instantly;
-2. a **persistent on-disk cache** (:mod:`repro.experiments.cache`,
-   content-addressed by scenario/controller/attack/intensity/seed/onset/
-   duration + catalog + code version) survives across processes, so a
-   repeated campaign re-simulates nothing — memo + cache + checkpoint
-   manifest together form the
-   :class:`~repro.experiments.backend.CacheResultStore` every executor
-   commits through;
-3. uncached grid points run through a pluggable **executor chain**:
-   the lockstep batch engine
-   (:class:`~repro.experiments.backend.BatchExecutor`, ``--sim-engine
-   batch``), then either a single-host ``ProcessPoolExecutor`` fan-out
+1. **declare** — the caller hands over its whole spec list;
+2. **resolve** — each unique spec is looked up in the
+   :class:`~repro.experiments.backend.ResultStore`: the in-process LRU
+   memo (bounded, default 512 runs), then the persistent content-addressed
+   disk cache (:mod:`repro.experiments.cache`), so a repeated campaign
+   re-simulates nothing;
+3. **batch** — with the lockstep engine selected (:func:`choose_sim_engine`),
+   the misses are grouped by ``(scenario, duration)``, chunked at
+   :func:`_batch_lanes` lanes and stepped through
+   :func:`~repro.sim.batch.run_batch` (:func:`simulate_batch`, the
+   drain's simulate-only half); a chunk the engine rejects falls back
+   whole;
+4. **fall back** — everything not batched goes to the caller's executor
+   chain: serial in place by default; for :func:`run_grid` a
+   single-host ``ProcessPoolExecutor`` fan-out
    (:class:`~repro.experiments.backend.PoolExecutor`, ``workers=`` /
    ``ADASSURE_WORKERS``) or the multi-host lease-claimed worker fleet
    (:class:`~repro.experiments.distributed.DistributedExecutor`,
    ``executor="distributed"`` / ``ADASSURE_EXECUTOR``), and finally the
    terminal :class:`~repro.experiments.backend.SerialExecutor`, which
-   owns retries and quarantine.
+   owns retries and quarantine;
+5. **check + commit** — every fresh run is checked, diagnosed and
+   committed through the store (memo + disk + spec ledger + checkpoint
+   manifest) as soon as it completes.
 
 Because every run is fully seeded, every backend produces bit-identical
-results; executors only change wall-clock time.  Each ``run_grid`` call
-reports timings and hit counts into
-:data:`repro.experiments.stats.STATS`.
+results; executors only change wall-clock time.  Each drain reports
+timings and hit counts into :data:`repro.experiments.stats.STATS`.
 
-The chain is **crash-tolerant**: a campaign of thousands of points must
-survive one sick point, one dead worker, or one dead *host*.  Concretely,
+The :func:`run_grid` chain is **crash-tolerant**: a campaign of
+thousands of points must survive one sick point, one dead worker, or one
+dead *host*.  Concretely,
 
 * every pool point gets a wall-clock budget (``point_timeout=`` /
   ``ADASSURE_POINT_TIMEOUT``; unlimited by default) — an overdue point is
@@ -57,46 +61,35 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from collections import OrderedDict
-from dataclasses import dataclass
 
-from repro.attacks.campaign import standard_attack
-from repro.control.acc import AccController
-from repro.control.base import make_lateral_controller
-from repro.control.follower import SpeedProfile, WaypointFollower
 from repro.core.checker import check_trace
-from repro.core.diagnosis import DiagnosisResult, diagnose
-from repro.core.spec import catalog_fingerprint
+from repro.core.diagnosis import diagnose
 from repro.core.verdicts import CheckReport
 from repro.experiments.backend import (
-    BatchExecutor,
-    CacheResultStore,
+    _MEMO,
     PoolExecutor,
-    ScoredResultStore,
+    ResultStore,
     SerialExecutor,
-    build_grid,
+    set_memo_limit,
 )
 from repro.experiments.cache import CheckpointManifest, RunCache
+from repro.experiments.spec import GridRun, RunSpec, build_grid, build_scenario
 from repro.experiments.stats import STATS, GridStats
-from repro.sim.batch import LaneSpec, run_batch
-from repro.sim.engine import RunResult, run_scenario
-from repro.sim.scenario import standard_scenarios
+from repro.sim.batch import run_batch
+from repro.sim.engine import RunResult
 
 __all__ = [
-    "GridRun",
+    "drain",
     "run_grid",
     "run_scored",
     "scored_store",
+    "simulate_batch",
     "clear_cache",
     "resolve_executor",
     "choose_sim_engine",
-    "resolve_sim_engine",
     "resolve_workers",
     "set_memo_limit",
 ]
-
-DEFAULT_MEMO_LIMIT = 512
-"""Default bound on the in-process memo (``ADASSURE_MEMO_LIMIT`` env)."""
 
 DEFAULT_BATCH_LANES = 64
 """Default lanes per batched simulation group (``ADASSURE_BATCH_LANES``)."""
@@ -136,120 +129,55 @@ def _point_retries(retries: int | None) -> int:
     return max(int(retries), 0)
 
 
-@dataclass(slots=True)
-class GridRun:
-    """One fully scored grid point."""
-
-    scenario: str
-    controller: str
-    attack: str
-    intensity: float
-    seed: int
-    result: RunResult
-    report: CheckReport
-    diagnosis: DiagnosisResult
-
-    @property
-    def onset_latency(self) -> float | None:
-        onset = self.result.trace.attack_onset()
-        if onset is None:
-            return None
-        return self.report.detection_latency(onset)
-
-
-# ---------------------------------------------------------------------------
-# In-process memo: bounded LRU so multi-thousand-point sweeps cannot grow
-# memory without limit (each GridRun holds a full trace).
-# ---------------------------------------------------------------------------
-
-_MEMO: OrderedDict[tuple, GridRun] = OrderedDict()
-
-
-def _memo_limit() -> int:
-    try:
-        return max(int(os.environ.get("ADASSURE_MEMO_LIMIT",
-                                      DEFAULT_MEMO_LIMIT)), 1)
-    except ValueError:
-        return DEFAULT_MEMO_LIMIT
-
-
-_MEMO_LIMIT = _memo_limit()
-
-
-def set_memo_limit(limit: int) -> None:
-    """Re-bound the in-process memo (evicts oldest entries immediately)."""
-    global _MEMO_LIMIT
-    if limit < 1:
-        raise ValueError("memo limit must be >= 1")
-    _MEMO_LIMIT = limit
-    while len(_MEMO) > _MEMO_LIMIT:
-        _MEMO.popitem(last=False)
-
-
-def _memo_get(key: tuple) -> GridRun | None:
-    run = _MEMO.get(key)
-    if run is not None:
-        _MEMO.move_to_end(key)
-    return run
-
-
-def _memo_put(key: tuple, run: GridRun) -> None:
-    _MEMO[key] = run
-    _MEMO.move_to_end(key)
-    while len(_MEMO) > _MEMO_LIMIT:
-        _MEMO.popitem(last=False)
-
-
 def clear_cache(disk: bool = False) -> None:
-    """Drop memoized runs (tests use this to force fresh simulations).
+    """Forget every run this process remembers, so the next drain is cold.
+
+    Drops the run memo, the scenario cache, the batch engine's
+    cross-lane DARE-gain memo (and its hit/solve counters) and its
+    sensor-schedule cache.
 
     Args:
         disk: also wipe the persistent on-disk cache layer.
     """
+    from repro.sim.batch.controllers import clear_dare_memo
+    from repro.sim.batch.noise import clear_schedule_cache
     _MEMO.clear()
+    build_scenario.cache_clear()
+    clear_dare_memo()
+    clear_schedule_cache()
     if disk:
         cache = RunCache.from_env()
         if cache is not None:
             cache.clear()
 
 
-def resolve_sim_engine(engine: str | None = None) -> str:
-    """Effective simulation engine: argument > ``ADASSURE_SIM`` > serial.
-
-    ``"serial"`` steps every grid point through its own
-    :class:`~repro.sim.engine.SimulationRunner`; ``"batch"`` groups
-    compatible points and steps them in lockstep through
-    :func:`repro.sim.batch.run_batch` (bit-identical results, one core).
-    """
-    if engine is None:
-        env = os.environ.get("ADASSURE_SIM", "").strip()
-        engine = env or "serial"
-    engine = engine.strip().lower()
-    if engine not in ("serial", "batch"):
-        raise ValueError(
-            f"unknown simulation engine {engine!r}; "
-            "expected 'serial' or 'batch'")
-    return engine
-
-
 def choose_sim_engine(engine: str | None = None,
                       pending: int = 0) -> tuple[str, str]:
     """Effective engine *and why*: argument > ``ADASSURE_SIM`` > auto.
 
-    Auto selects the lockstep batch engine whenever at least two runs
-    are actually pending and NumPy imports (the batch engine is
+    ``"serial"`` steps every run through its own
+    :class:`~repro.sim.engine.SimulationRunner`; ``"batch"`` groups
+    compatible runs and steps them in lockstep through
+    :func:`repro.sim.batch.run_batch` (bit-identical results, one core).
+    Auto selects the batch engine whenever at least two runs are
+    actually pending and NumPy imports (the batch engine is
     array-native); otherwise serial.  ``ADASSURE_SIM=serial`` is the
     opt-out.  Returns ``(engine, reason)`` — the reason lands in
-    ``GridStats.sim_engine_reason`` so ``--stats`` shows how the engine
-    was picked.  :func:`resolve_sim_engine` keeps the historical
-    serial-unless-asked contract for callers that need it (the
-    distributed executor ships the engine name to its workers).
+    ``GridStats.sim_engine_reason`` (and a distributed campaign's
+    :class:`~repro.experiments.distributed.GridSpec`) so ``--stats``
+    shows how the engine was picked.
     """
+    reason = "engine argument"
+    if engine is None:
+        engine = os.environ.get("ADASSURE_SIM", "").strip() or None
+        reason = "ADASSURE_SIM"
     if engine is not None:
-        return resolve_sim_engine(engine), "engine argument"
-    env = os.environ.get("ADASSURE_SIM", "").strip()
-    if env:
-        return resolve_sim_engine(env), "ADASSURE_SIM"
+        engine = engine.strip().lower()
+        if engine not in ("serial", "batch"):
+            raise ValueError(
+                f"unknown simulation engine {engine!r}; "
+                "expected 'serial' or 'batch'")
+        return engine, reason
     if pending < 2:
         return "serial", f"auto: {pending} pending run(s)"
     try:
@@ -326,174 +254,184 @@ def resolve_dist_workers(dist_workers: int | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Point execution (also the ProcessPoolExecutor work unit)
+# Execution: one spec, one batch, one drain
 # ---------------------------------------------------------------------------
 
-def _execute_point(point: tuple) -> tuple[tuple, GridRun, dict]:
-    """Simulate + check + diagnose one grid point.
+def _score(spec: RunSpec, result: RunResult) -> tuple[GridRun, dict]:
+    """Check + diagnose one simulated run; returns the run and its
+    check/diagnose phase times."""
+    t0 = time.perf_counter()
+    report = check_trace(result.trace)
+    t1 = time.perf_counter()
+    diagnosis = diagnose(report)
+    t2 = time.perf_counter()
+    return (GridRun(spec, result, report, diagnosis),
+            {"check": t1 - t0, "diagnose": t2 - t1})
 
-    Top-level so it pickles into pool workers; returns the grid key, the
+
+def _execute_point(spec: RunSpec) -> tuple[RunSpec, GridRun, dict]:
+    """Simulate (serial engine) + check + diagnose one spec.
+
+    Top-level so it pickles into pool workers; returns the spec, the
     scored run and per-phase wall times.
     """
-    scenario_name, controller, attack, intensity, seed, onset, duration = point
-    scenario = standard_scenarios(seed=seed, duration=duration)[scenario_name]
-    campaign = (
-        standard_attack(attack, intensity=intensity, onset=onset)
-        if attack != "none"
-        else standard_attack("none")
-    )
     t0 = time.perf_counter()
-    result = run_scenario(scenario, controller=controller, campaign=campaign)
-    t1 = time.perf_counter()
-    report = check_trace(result.trace)
-    t2 = time.perf_counter()
-    diagnosis = diagnose(report)
-    t3 = time.perf_counter()
-    run = GridRun(
-        scenario=scenario_name,
-        controller=controller,
-        attack=attack,
-        intensity=intensity,
-        seed=seed,
-        result=result,
-        report=report,
-        diagnosis=diagnosis,
-    )
-    phases = {"simulate": t1 - t0, "check": t2 - t1, "diagnose": t3 - t2}
-    return point, run, phases
+    result = spec.run()
+    simulate = time.perf_counter() - t0
+    run, phases = _score(spec, result)
+    return spec, run, {"simulate": simulate, **phases}
 
 
-def _batch_lane_spec(point: tuple) -> LaneSpec:
-    """Build one batch lane exactly the way :func:`_execute_point` would.
+def _execute_chunk(specs: list[RunSpec]) -> list[tuple]:
+    """Pool work unit: execute a batch of specs in one task.
 
-    Mirrors the follower construction of
-    :func:`~repro.sim.engine.run_scenario` (unsupervised, scenario cruise
-    profile, ACC iff the scenario has a lead) so the batched lane is
-    bit-identical to the serial grid point.
-    """
-    scenario_name, controller, attack, intensity, seed, onset, duration = point
-    scenario = standard_scenarios(seed=seed, duration=duration)[scenario_name]
-    campaign = (
-        standard_attack(attack, intensity=intensity, onset=onset)
-        if attack != "none"
-        else standard_attack("none")
-    )
-    follower = WaypointFollower(
-        make_lateral_controller(controller),
-        profile=SpeedProfile(cruise_speed=scenario.cruise_speed),
-        acc=AccController() if scenario.lead is not None else None,
-    )
-    return LaneSpec(scenario=scenario, follower=follower, campaign=campaign)
-
-
-def _execute_batch(points: list[tuple], merge) -> None:
-    """Simulate a compatible group in lockstep, then score each lane.
-
-    The batched simulation produces all lanes at once, so its wall time
-    is attributed evenly across the group's points; check/diagnose stay
-    per-point.  Raises (e.g. :class:`~repro.sim.batch.BatchCompatError`)
-    bubble to the caller, which falls back to the serial/pool path.
-    """
-    specs = [_batch_lane_spec(point) for point in points]
-    t0 = time.perf_counter()
-    results = run_batch(specs)
-    sim_share = (time.perf_counter() - t0) / len(points)
-    for point, result in zip(points, results):
-        t1 = time.perf_counter()
-        report = check_trace(result.trace)
-        t2 = time.perf_counter()
-        diagnosis = diagnose(report)
-        t3 = time.perf_counter()
-        run = GridRun(
-            scenario=point[0], controller=point[1], attack=point[2],
-            intensity=point[3], seed=point[4],
-            result=result, report=report, diagnosis=diagnosis,
-        )
-        merge(point, run,
-              {"simulate": sim_share, "check": t2 - t1, "diagnose": t3 - t2})
-
-
-def _execute_chunk(points: list[tuple]) -> list[tuple]:
-    """Pool work unit: execute a batch of points in one task.
-
-    Failures are captured *per point* — ``(point, None, None, error)``
-    instead of ``(point, run, phases, None)`` — so one sick point does
+    Failures are captured *per spec* — ``(spec, None, None, error)``
+    instead of ``(spec, run, phases, None)`` — so one sick point does
     not discard its chunk-mates' finished work.  Calls
     ``_execute_point`` through the module global so test sabotage
     (monkeypatched into forked workers) still applies.
     """
     out = []
-    for point in points:
+    for spec in specs:
         try:
-            out.append(_execute_point(point) + (None,))
+            out.append(_execute_point(spec) + (None,))
         except Exception as exc:
-            out.append((point, None, None, f"{type(exc).__name__}: {exc}"))
+            out.append((spec, None, None, f"{type(exc).__name__}: {exc}"))
     return out
 
 
-def scored_store() -> ScoredResultStore:
-    """The process-wide params-keyed result store (memo + disk cache).
+def simulate_batch(specs: list[RunSpec], stats: GridStats, emit,
+                   min_lanes: int = 1) -> list[RunSpec]:
+    """The drain's simulate-only half: lockstep-simulate ``specs``.
 
-    Every off-grid run — the E10-E13 extension configurations and the
-    counterfactual probes — resolves and commits through this store, so
-    probe cache hits show up in :data:`~repro.experiments.stats.STATS`
-    exactly like grid hits do.
+    Groups by ``(scenario, duration)`` — the compatibility key the batch
+    engine requires — in first-seen order, chunks each group at
+    :func:`_batch_lanes` lanes and runs every chunk of at least
+    ``min_lanes`` specs through :func:`~repro.sim.batch.run_batch`,
+    calling ``emit(spec, result)`` per lane as its chunk finishes.  A
+    chunk the engine rejects is a ``batch_fallbacks`` tick and comes back
+    whole with the too-small chunks: the return value is every spec not
+    simulated.  Results are raw — nothing is checked or committed here.
     """
-    return ScoredResultStore(RunCache.from_env(), _memo_get, _memo_put)
+    from repro.sim.batch.controllers import dare_memo_counters
+    groups: dict[tuple, list[RunSpec]] = {}
+    for spec in specs:
+        groups.setdefault((spec.scenario, spec.duration), []).append(spec)
+    lanes = _batch_lanes()
+    dare0 = dare_memo_counters()
+    leftover: list[RunSpec] = []
+    for group in groups.values():
+        for start in range(0, len(group), lanes):
+            chunk = group[start:start + lanes]
+            if len(chunk) < min_lanes:
+                leftover.extend(chunk)
+                continue
+            try:
+                built = [spec.build() for spec in chunk]
+                t0 = time.perf_counter()
+                results = run_batch(built)
+            except Exception:
+                stats.batch_fallbacks += 1
+                leftover.extend(chunk)
+                continue
+            stats.phase_time["simulate"] += time.perf_counter() - t0
+            stats.batch_groups += 1
+            stats.batch_points += len(chunk)
+            for spec, result in zip(chunk, results):
+                emit(spec, result)
+    dare1 = dare_memo_counters()
+    stats.dare_memo_hits += dare1["hits"] - dare0["hits"]
+    stats.dare_memo_solves += dare1["solves"] - dare0["solves"]
+    return leftover
 
 
-def run_scored(params: dict, simulate) -> tuple[RunResult, CheckReport]:
-    """Cached execution of one *off-grid* closed-loop run.
+def _serial(specs: list[RunSpec], merge) -> None:
+    """The default fallback: run each spec serially, in place; a failure
+    raises to the caller."""
+    for spec in specs:
+        merge(*_execute_point(spec))
 
-    The extension experiments (E10-E13) run configurations the cartesian
-    grid cannot express — gated estimators, concurrent attack pairs,
-    injected controller defects, the car-following scenario.  This routes
-    them through the same
-    :class:`~repro.experiments.backend.ScoredResultStore` layers as
-    :func:`run_grid` uses for grid points.
 
-    Args:
-        params: JSON-serializable dict that uniquely determines the run;
-            it must cover every knob ``simulate`` closes over (a stale
-            ``params`` means silently wrong cache hits).  Convention:
-            include a ``"kind"`` discriminator per experiment family.
-        simulate: zero-argument callable returning the
-            :class:`~repro.sim.engine.RunResult`; only invoked on a miss.
+def drain(specs, store: ResultStore, stats: GridStats, *,
+          sim_engine: str | None = None, fallback=_serial,
+          batch_locally: bool = True) -> dict[RunSpec, GridRun]:
+    """Execute ``specs`` — the one pipeline every campaign runs through.
 
-    Returns:
-        ``(result, report)`` — the report is the default-catalog
-        :func:`~repro.core.checker.check_trace` verdict.  Diagnosis is
-        not cached: rankings are knowledge-base dependent and cost
-        microseconds to recompute.
+    Declare -> resolve (memo, disk) -> group by ``(scenario, duration)``
+    -> chunk at :func:`_batch_lanes` -> :func:`~repro.sim.batch.run_batch`
+    (chunks of two or more lanes, when :func:`choose_sim_engine` picks
+    the batch engine) -> ``fallback(specs, merge)`` for everything not
+    batched (serial in place by default) -> check + diagnose -> commit
+    through ``store``.  ``batch_locally=False`` hands every miss to the
+    fallback (a distributed fleet batches on its workers instead).
+
+    Returns every resolved or executed spec's :class:`GridRun`; specs a
+    fallback quarantined are absent.  Counters accumulate into
+    ``stats``; recording it is the caller's job.
+    """
+    runs: dict[RunSpec, GridRun] = {}
+    pending: list[RunSpec] = []
+    for spec in dict.fromkeys(specs):
+        hit = store.resolve(spec)
+        if hit is None:
+            pending.append(spec)
+            continue
+        runs[spec], source = hit
+        if source == "memo":
+            stats.memo_hits += 1
+        else:
+            stats.disk_hits += 1
+    stats.sim_engine, stats.sim_engine_reason = choose_sim_engine(
+        sim_engine, len(pending))
+
+    def merge(spec: RunSpec, run: GridRun, phases: dict | None) -> None:
+        # Incremental checkpoint: every completed run lands in the store
+        # as soon as it finishes.  ``phases=None`` marks a run executed
+        # elsewhere (a distributed worker) and adopted from the shared
+        # store — already durable, so only the local bookkeeping runs.
+        runs[spec] = run
+        if phases is None:
+            store.adopt(spec, run)
+            stats.dist_points += 1
+            return
+        store.commit(spec, run)
+        stats.executed += 1
+        for phase, seconds in phases.items():
+            stats.phase_time[phase] += seconds
+
+    if stats.sim_engine == "batch" and batch_locally:
+        pending = simulate_batch(
+            pending, stats, lambda spec, result: merge(
+                spec, *_score(spec, result)), min_lanes=2)
+    fallback(pending, merge)
+    return runs
+
+
+def _record(stats: GridStats, store: ResultStore, wall_start: float) -> None:
+    if store.cache is not None:
+        stats.disk_errors = store.cache.counters.errors
+    stats.wall_time = time.perf_counter() - wall_start
+    STATS.record(stats)
+
+
+def scored_store() -> ResultStore:
+    """The process-wide result store without a campaign manifest (memo +
+    disk cache + spec ledger) — what off-grid runs and probes use."""
+    return ResultStore(RunCache.from_env())
+
+
+def run_scored(spec: RunSpec) -> tuple[RunResult, CheckReport]:
+    """Cached execution of one run: :func:`drain` over a single spec.
+
+    Returns ``(result, report)``; a simulation failure raises (E14
+    measures crashes this way).
     """
     wall_start = time.perf_counter()
     stats = GridStats(workers=1, grid_points=1)
     store = scored_store()
-    hit = store.resolve(params)
-    if hit is not None:
-        pair, source = hit
-        if source == "memo":
-            stats.memo_hits = 1
-        else:
-            stats.disk_hits = 1
-        stats.wall_time = time.perf_counter() - wall_start
-        STATS.record(stats)
-        return pair
-
-    t0 = time.perf_counter()
-    result = simulate()
-    t1 = time.perf_counter()
-    report = check_trace(result.trace)
-    t2 = time.perf_counter()
-    store.commit(params, (result, report))
-    if store.cache is not None:
-        stats.disk_errors = store.cache.counters.errors
-    stats.executed = 1
-    stats.phase_time["simulate"] = t1 - t0
-    stats.phase_time["check"] = t2 - t1
-    stats.wall_time = time.perf_counter() - wall_start
-    STATS.record(stats)
-    return result, report
+    run = drain([spec], store, stats)[spec]
+    _record(stats, store, wall_start)
+    return run.result, run.report
 
 
 def run_grid(
@@ -522,11 +460,14 @@ def run_grid(
     complete* (the incremental checkpoint an interrupted campaign
     resumes from).
 
-    With ``sim_engine="batch"`` (or ``ADASSURE_SIM=batch``), compatible
-    uncached points are grouped and stepped in lockstep through the
-    array-native batch engine (:mod:`repro.sim.batch`) before anything
-    reaches the pool; results are bit-identical to the serial engine, and
-    any group the batch engine rejects falls back to the classic path.
+    The grid is a :func:`~repro.experiments.spec.build_grid` spec list
+    executed by :func:`drain`: with the batch engine (auto-selected for
+    two or more pending points; ``sim_engine`` / ``ADASSURE_SIM``
+    override), compatible uncached points are stepped in lockstep through
+    the array-native batch engine (:mod:`repro.sim.batch`) before
+    anything reaches the pool; results are bit-identical to the serial
+    engine, and any group the batch engine rejects falls back to the
+    executor chain.
 
     With ``executor="distributed"`` (or ``ADASSURE_EXECUTOR=distributed``),
     the uncached points are instead striped into lease-claimable shards
@@ -552,7 +493,6 @@ def run_grid(
     stats.grid_points = len(grid)
 
     cache = RunCache.from_env()
-    catalog = catalog_fingerprint() if cache is not None else None
     manifest = CheckpointManifest.for_grid(cache, grid)
     if manifest is not None and manifest.lease_conflict:
         # Another live campaign owns this grid's ledger.  The work still
@@ -564,83 +504,34 @@ def run_grid(
             f"checkpoint manifest {manifest.path.name} is held by another "
             "live campaign; this run proceeds without updating the shared "
             "ledger", RuntimeWarning, stacklevel=2)
+    store = ResultStore(cache, manifest=manifest)
 
-    store = CacheResultStore(cache, catalog, manifest, _memo_get, _memo_put)
-    try:
-        # Resolve every unique point through memo -> disk -> pending list.
-        # `resolved` pins this grid's runs so LRU eviction mid-call is safe.
-        resolved: dict[tuple, GridRun] = {}
-        pending: list[tuple] = []
-        seen: set[tuple] = set()
-        for point in grid:
-            if point in seen:
-                continue
-            seen.add(point)
-            hit = store.resolve(point)
-            if hit is not None:
-                run, source = hit
-                resolved[point] = run
-                if source == "memo":
-                    stats.memo_hits += 1
-                else:
-                    stats.disk_hits += 1
-                continue
-            pending.append(point)
+    mode = resolve_executor(executor)
+    if mode == "distributed" and cache is None:
+        warnings.warn(
+            "the distributed executor needs the disk cache as its "
+            "shared result store (ADASSURE_CACHE=0 disables it); "
+            "falling back to the single-host executor chain",
+            RuntimeWarning, stacklevel=2)
+        mode = "auto"
 
-        def merge(point: tuple, run: GridRun, phases: dict | None) -> None:
-            # Incremental checkpoint: every completed point lands in the
-            # result store (memo + disk cache + manifest) as soon as it
-            # finishes, so an interrupted campaign re-runs only what is
-            # missing.  ``phases=None`` marks a point executed elsewhere
-            # (a distributed worker) and adopted from the shared store —
-            # already durable, so only the local bookkeeping runs.
-            resolved[point] = run
-            if phases is None:
-                _memo_put(point, run)
-                if manifest is not None:
-                    manifest.complete(point)
-                stats.dist_points += 1
-                return
-            store.commit(point, run)
-            stats.executed += 1
-            for phase, seconds in phases.items():
-                stats.phase_time[phase] += seconds
-
-        # Execute the misses through the executor chain.  The batch
-        # engine (when selected) consumes whole compatible groups first;
-        # the primary executor — process pool or distributed fleet —
-        # takes the rest; all leftovers (timed-out points, collapse
-        # survivors, dead-fleet remainders, first-failure points) fall
-        # back to the terminal serial executor, which owns retries and
-        # quarantine and always converges.
-        mode = resolve_executor(executor)
-        if mode == "distributed" and cache is None:
-            warnings.warn(
-                "the distributed executor needs the disk cache as its "
-                "shared result store (ADASSURE_CACHE=0 disables it); "
-                "falling back to the single-host executor chain",
-                RuntimeWarning, stacklevel=2)
-            mode = "auto"
-        if mode == "distributed":
-            # Distributed workers resolve their own engine from the shard
-            # spec; auto-selection stays a local-chain concern.
-            stats.sim_engine = resolve_sim_engine(sim_engine)
-        else:
-            stats.sim_engine, stats.sim_engine_reason = choose_sim_engine(
-                sim_engine, len(pending))
-        items = [(point, 0) for point in pending]
-
+    def execute(specs: list[RunSpec], merge) -> None:
+        # The executor chain for everything the batch prepass left: the
+        # primary executor — process pool or distributed fleet — takes
+        # it; all leftovers (timed-out points, collapse survivors,
+        # dead-fleet remainders, first-failure points) fall back to the
+        # terminal serial executor, which owns retries and quarantine
+        # and always converges.
+        items = [(spec, 0) for spec in specs]
         if mode == "distributed" and items:
             from repro.experiments.distributed import DistributedExecutor
-            n_dist = resolve_dist_workers(dist_workers)
-            dist = DistributedExecutor(
-                grid, store, n_dist, shard_points=shard_points,
-                sim_engine=stats.sim_engine)
-            items = dist.execute(items, merge, stats)
+            items = DistributedExecutor(
+                grid, store, resolve_dist_workers(dist_workers),
+                shard_points=shard_points, sim_engine=stats.sim_engine,
+                sim_engine_reason=stats.sim_engine_reason,
+            ).execute(items, merge, stats)
             stats.pool_policy = "distributed"
         else:
-            if stats.sim_engine == "batch" and len(items) > 1:
-                items = BatchExecutor().execute(items, merge, stats)
             n_workers = resolve_workers(workers)
             use_pool = (mode in ("auto", "pool")
                         and n_workers > 1 and len(items) > 1)
@@ -662,14 +553,13 @@ def run_grid(
                 ).execute(items, merge, stats)
         SerialExecutor(_point_retries(retries)).execute(
             items, merge, stats, store.quarantine)
+
+    try:
+        runs = drain(grid, store, stats, sim_engine=sim_engine,
+                     fallback=execute, batch_locally=mode != "distributed")
     finally:
         # The lease must not outlive the campaign: a leaked lease
         # would lock this grid's ledger until the TTL expires.
         store.close()
-
-    if cache is not None:
-        stats.disk_errors = cache.counters.errors
-    stats.wall_time = time.perf_counter() - wall_start
-    STATS.record(stats)
-
-    return [resolved[point] for point in grid if point in resolved]
+    _record(stats, store, wall_start)
+    return [runs[spec] for spec in grid if spec in runs]

@@ -50,7 +50,7 @@ class GridStats:
     pool_failures: int = 0
     """Worker-pool collapses (``BrokenProcessPool``) recovered serially."""
     quarantined: list = field(default_factory=list)
-    """Points that kept failing after every retry: ``(point, error)``."""
+    """Runs that kept failing after every retry: ``(RunSpec, error)``."""
     workers: int = 1
     chunk_size: int = 1
     """Points batched per pool task (1 = unchunked / serial)."""
@@ -64,12 +64,6 @@ class GridStats:
     """Groups the batch engine rejected back to the serial/pool path."""
     sim_engine_reason: str = ""
     """Why that engine was chosen: explicit, env, or the auto heuristic."""
-    planned: int = 0
-    """Off-grid runs declared to a :class:`~repro.experiments.plan.ProbePlan`."""
-    plan_batched: int = 0
-    """Planned runs simulated inside batch-engine lane groups."""
-    plan_fallbacks: int = 0
-    """Planned groups the batch engine rejected back to serial execution."""
     speculative_issued: int = 0
     """Probe lanes simulated ahead of need by speculative prefetch."""
     speculative_wasted: int = 0
@@ -141,9 +135,6 @@ class GridStats:
         self.batch_fallbacks += other.batch_fallbacks
         if other.sim_engine_reason:
             self.sim_engine_reason = other.sim_engine_reason
-        self.planned += other.planned
-        self.plan_batched += other.plan_batched
-        self.plan_fallbacks += other.plan_fallbacks
         self.speculative_issued += other.speculative_issued
         self.speculative_wasted += other.speculative_wasted
         self.dare_memo_hits += other.dare_memo_hits
@@ -174,8 +165,8 @@ class GridStats:
             "timeouts": self.timeouts,
             "pool_failures": self.pool_failures,
             "quarantined": [
-                {"point": list(point), "error": error}
-                for point, error in self.quarantined
+                {"spec": spec.to_dict(), "error": error}
+                for spec, error in self.quarantined
             ],
             "cache_hit_rate": round(self.cache_hit_rate, 4),
             "workers": self.workers,
@@ -185,9 +176,6 @@ class GridStats:
             "batch_points": self.batch_points,
             "batch_fallbacks": self.batch_fallbacks,
             "sim_engine_reason": self.sim_engine_reason,
-            "planned": self.planned,
-            "plan_batched": self.plan_batched,
-            "plan_fallbacks": self.plan_fallbacks,
             "speculative_issued": self.speculative_issued,
             "speculative_wasted": self.speculative_wasted,
             "dare_memo_hits": self.dare_memo_hits,
@@ -233,12 +221,6 @@ class GridStats:
                 f"{self.batch_groups} group(s), "
                 f"{self.batch_fallbacks} fallback(s)"
             )
-        if self.planned or self.plan_fallbacks:
-            lines.append(
-                f"planned     : {self.planned} run(s) declared, "
-                f"{self.plan_batched} batched, "
-                f"{self.plan_fallbacks} group fallback(s)"
-            )
         if self.speculative_issued or self.speculative_wasted:
             lines.append(
                 f"speculative : {self.speculative_issued} lane(s) issued, "
@@ -271,8 +253,9 @@ class GridStats:
             )
         if self.quarantined:
             lines.append(f"quarantined : {len(self.quarantined)} point(s)")
-            for point, error in self.quarantined:
-                lines.append(f"  {point}: {error}")
+            for spec, error in self.quarantined:
+                lines.append(f"  {spec.scenario}/{spec.controller}/"
+                             f"{spec.attack}/seed {spec.seed}: {error}")
         return "\n".join(lines)
 
 

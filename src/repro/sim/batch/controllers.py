@@ -144,6 +144,12 @@ def dare_memo_counters() -> dict[str, int]:
     return dict(_DARE_MEMO)
 
 
+def clear_dare_memo() -> None:
+    """Forget every shared DARE gain and zero the hit/solve counters."""
+    _SHARED_DARE_GAINS.clear()
+    _DARE_MEMO.update(hits=0, solves=0)
+
+
 class _BatchLqr:
     def __init__(self, controllers: list[LqrController], route: BatchRoute):
         self.route = route

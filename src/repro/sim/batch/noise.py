@@ -32,6 +32,11 @@ __all__ = ["LaneSensorTapes", "due_steps", "build_lane_tapes"]
 _SCHEDULE_CACHE: dict[tuple[float, float, int], np.ndarray] = {}
 
 
+def clear_schedule_cache() -> None:
+    """Forget every memoized sensor due-step schedule."""
+    _SCHEDULE_CACHE.clear()
+
+
 def due_steps(period: float, dt: float, n_steps: int) -> np.ndarray:
     """Boolean per-step due mask, replaying ``Sensor.sample_due`` exactly."""
     key = (period, dt, n_steps)

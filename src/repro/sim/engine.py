@@ -47,7 +47,7 @@ if TYPE_CHECKING:  # annotation-only import; repro.attacks imports repro.sim
     from repro.attacks.campaign import AttackCampaign
     from repro.faults.campaign import FaultCampaign
 
-__all__ = ["RunResult", "SimulationRunner", "run_scenario"]
+__all__ = ["RunResult", "SimulationRunner", "make_follower", "run_scenario"]
 
 _DIVERGENCE_CTE = 30.0  # meters; beyond this the run is flagged diverged
 
@@ -364,6 +364,30 @@ class SimulationRunner:
         return None
 
 
+def make_follower(
+    scenario: Scenario,
+    lateral,
+    profile: SpeedProfile | None = None,
+    supervised: bool = False,
+    supervisor_config: SupervisorConfig | None = None,
+) -> "WaypointFollower | SupervisedController":
+    """The follower every run drives with: ``lateral`` steering, the
+    scenario's cruise profile (unless ``profile`` overrides it), ACC iff
+    the scenario has a lead, optionally wrapped in the
+    :class:`~repro.control.supervisor.SupervisedController` watchdog
+    (``supervisor_config`` implies ``supervised``)."""
+    if profile is None:
+        profile = SpeedProfile(cruise_speed=scenario.cruise_speed)
+    follower = WaypointFollower(
+        lateral,
+        profile=profile,
+        acc=AccController() if scenario.lead is not None else None,
+    )
+    if supervised or supervisor_config is not None:
+        return SupervisedController(follower, config=supervisor_config)
+    return follower
+
+
 def run_scenario(
     scenario: Scenario,
     controller: str = "pure_pursuit",
@@ -392,14 +416,8 @@ def run_scenario(
         supervisor_config: watchdog/degradation policy override (implies
             ``supervised``).
     """
-    if profile is None:
-        profile = SpeedProfile(cruise_speed=scenario.cruise_speed)
-    follower: WaypointFollower | SupervisedController = WaypointFollower(
-        make_lateral_controller(controller),
-        profile=profile,
-        acc=AccController() if scenario.lead is not None else None,
-    )
-    if supervised or supervisor_config is not None:
-        follower = SupervisedController(follower, config=supervisor_config)
+    follower = make_follower(scenario, make_lateral_controller(controller),
+                             profile=profile, supervised=supervised,
+                             supervisor_config=supervisor_config)
     return SimulationRunner(scenario, follower, campaign, ekf_config,
                             faults=faults).run()

@@ -5,17 +5,19 @@ unpicklable payloads and concurrent writers may cost a re-simulation but
 must never crash a campaign or serve a corrupt entry.
 """
 
+import dataclasses
 import threading
 
 import pytest
 
 from repro.core.checker import check_trace
-from repro.experiments.cache import RunCache, cache_key
+from repro.experiments.cache import RunCache
+from repro.experiments.spec import RunSpec
 from repro.sim.engine import run_scenario
 
 from conftest import short_scenario
 
-KEY_ARGS = ("s_curve", "pure_pursuit", "none", 1.0, 7, 5.0, 12.0)
+SPEC = RunSpec("s_curve", seed=7, onset=5.0, duration=12.0)
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +35,7 @@ def cache(tmp_path):
 class TestTornEntries:
     def test_truncated_trace_payload_is_evicted(self, cache, scored_run):
         result, report = scored_run
-        key = cache_key(*KEY_ARGS)
+        key = SPEC.key()
         cache.store(key, result, report, None)
         trace_path = cache._trace_path(key)
         data = trace_path.read_bytes()
@@ -46,7 +48,7 @@ class TestTornEntries:
 
     def test_truncated_pickle_payload_is_evicted(self, cache, scored_run):
         result, report = scored_run
-        key = cache_key(*KEY_ARGS)
+        key = SPEC.key()
         cache.store(key, result, report, None)
         scored_path = cache._scored_path(key)
         data = scored_path.read_bytes()
@@ -57,7 +59,7 @@ class TestTornEntries:
 
     def test_missing_half_of_pair_is_a_miss(self, cache, scored_run):
         result, report = scored_run
-        key = cache_key(*KEY_ARGS)
+        key = SPEC.key()
         cache.store(key, result, report, None)
         cache._scored_path(key).unlink()
         assert cache.load(key) is None
@@ -65,7 +67,7 @@ class TestTornEntries:
 
     def test_wrong_payload_type_is_evicted(self, cache, scored_run):
         result, report = scored_run
-        key = cache_key(*KEY_ARGS)
+        key = SPEC.key()
         cache.store(key, result, report, None)
         scored = {"metrics": result.metrics, "outcome": result.outcome,
                   "scenario": result.scenario,
@@ -81,7 +83,7 @@ class TestTornEntries:
 class TestUnstorablePayloads:
     def test_unpicklable_report_fails_toward_miss(self, cache, scored_run):
         result, report = scored_run
-        key = cache_key(*KEY_ARGS)
+        key = SPEC.key()
         poisoned = lambda: None  # noqa: E731 — lambdas cannot pickle
         cache.store(key, result, poisoned, None)
         assert cache.counters.errors == 1
@@ -92,7 +94,7 @@ class TestUnstorablePayloads:
 
     def test_store_after_failure_recovers(self, cache, scored_run):
         result, report = scored_run
-        key = cache_key(*KEY_ARGS)
+        key = SPEC.key()
         cache.store(key, result, lambda: None, None)
         cache.store(key, result, report, None)
         assert cache.counters.stores == 1
@@ -105,7 +107,7 @@ class TestConcurrentWriters:
     def test_racing_writers_leave_valid_or_absent_entry(self, cache,
                                                         scored_run):
         result, report = scored_run
-        key = cache_key(*KEY_ARGS)
+        key = SPEC.key()
         errors = []
 
         def writer():
@@ -129,7 +131,7 @@ class TestConcurrentWriters:
 
     def test_distinct_keys_never_interfere(self, cache, scored_run):
         result, report = scored_run
-        keys = [cache_key(*KEY_ARGS[:4], seed, *KEY_ARGS[5:])
+        keys = [dataclasses.replace(SPEC, seed=seed).key()
                 for seed in range(8)]
 
         def writer(key):
@@ -147,5 +149,5 @@ class TestConcurrentWriters:
 
     def test_tmp_files_never_linger(self, cache, scored_run, tmp_path):
         result, report = scored_run
-        cache.store(cache_key(*KEY_ARGS), result, report, None)
+        cache.store(SPEC.key(), result, report, None)
         assert not list(tmp_path.rglob("*.tmp.*"))

@@ -121,11 +121,11 @@ class TestWorkerCommand:
 
         from repro.experiments.cache import RunCache
         from repro.experiments.distributed import GridSpec
+        from repro.experiments.spec import build_grid
 
-        spec = GridSpec.build(
-            scenarios=("s_curve",), controllers=("pure_pursuit",),
-            attacks=("gps_bias",), seeds=(1, 7), intensity=1.0,
-            onset=5.0, duration=6.0, shard_points=1)
+        spec = GridSpec.build(build_grid(
+            ("s_curve",), ("pure_pursuit",), ("gps_bias",), (1, 7),
+            onset=5.0, duration=6.0), shard_points=1)
         path = spec.save(RunCache())
         assert main(["worker", "--grid-file", str(path),
                      "--worker-id", "cli-test"]) == 0
@@ -145,11 +145,11 @@ class TestWorkerCommand:
 
         from repro.experiments.cache import RunCache
         from repro.experiments.distributed import GridSpec, ShardBoard
+        from repro.experiments.spec import build_grid
 
-        spec = GridSpec.build(
-            scenarios=("s_curve",), controllers=("pure_pursuit",),
-            attacks=("gps_bias",), seeds=(1,), intensity=1.0,
-            onset=5.0, duration=6.0, shard_points=1)
+        spec = GridSpec.build(build_grid(
+            ("s_curve",), ("pure_pursuit",), ("gps_bias",), (1,),
+            onset=5.0, duration=6.0), shard_points=1)
         board = ShardBoard(RunCache(), spec)
         board.ensure()
         board.lease_path(0).write_text(json.dumps(

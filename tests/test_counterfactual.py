@@ -11,10 +11,10 @@ loop.  Pinned guarantees:
 * ``ddmin_subset``: minimal sufficient subsets, singleton fast path,
   order preservation, budget contract;
 * ``bisect_intensity``: the boundary bracket, resolution contract;
-* the satellite-4 regression: an *edited* intervention can never alias
-  the original cache entry or any sibling edit — every edit field rides
-  in the probe cache key, and the probe key space is disjoint from the
-  grid key space.
+* the key regression: an *edited* intervention can never alias the
+  original cache entry or any sibling edit — every RunSpec field rides
+  in the cache key, specs round-trip through their ledger form, and an
+  *unedited* probe of a grid point is exactly that grid point's entry.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.cache import cache_key, cache_key_params
 from repro.experiments.counterfactual import (
     Intervention,
     Subject,
@@ -34,6 +33,7 @@ from repro.experiments.counterfactual import (
     ddmin_subset,
     probe_params,
 )
+from repro.experiments.spec import RunSpec, build_grid
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def test_bisect_rejects_nonpositive():
 
 
 # ---------------------------------------------------------------------------
-# Satellite-4 regression: edited interventions never alias cache entries
+# Key regression: edited interventions never alias cache entries
 # ---------------------------------------------------------------------------
 
 SUBJECT = Subject(scenario="s_curve", controller="pure_pursuit", seed=7,
@@ -242,7 +242,7 @@ BASE = Intervention.from_labels(attack="gps_bias", fault="gps_dropout",
 
 
 def probe_key(iv: Intervention) -> str:
-    return cache_key_params(probe_params(SUBJECT, iv))
+    return probe_params(SUBJECT, iv).key()
 
 
 def test_every_edit_field_changes_the_cache_key():
@@ -255,23 +255,41 @@ def test_every_edit_field_changes_the_cache_key():
         "removed": BASE.removed(),
     }
     keys = {name: probe_key(iv) for name, iv in edits.items()}
+    # The subject's off-grid knobs ride in the key as well.
+    for name, subject in {
+        "gate": Subject("s_curve", "pure_pursuit", 7, 20.0, gate=13.8),
+        "defect": Subject("s_curve", "pure_pursuit", 7, 20.0,
+                          defect="ctrl_deadband",
+                          defect_args=(("threshold", 0.12),)),
+        "defect-args": Subject("s_curve", "pure_pursuit", 7, 20.0,
+                               defect="ctrl_deadband",
+                               defect_args=(("threshold", 0.2),)),
+        "supervised": Subject("s_curve", "pure_pursuit", 7, 20.0,
+                              supervised=True),
+    }.items():
+        keys[name] = probe_params(subject, BASE).key()
     assert len(set(keys.values())) == len(keys), (
         "edited interventions collided in the probe key space")
 
 
-def test_probe_key_space_disjoint_from_grid_key_space():
-    """The original grid entry for the same coordinates must never be
-    served for a probe (or vice versa), even for the unchanged edit."""
-    grid = cache_key("s_curve", "pure_pursuit", "gps_bias", 1.0, 7, 10.0,
-                     20.0)
-    assert probe_key(BASE) != grid
+def test_unedited_probe_is_the_grid_entry():
+    """An unchanged probe of a grid point is that grid point — same
+    spec, same cache entry — while any edit leaves the grid's key."""
+    (grid,) = build_grid(("s_curve",), ("pure_pursuit",), ("gps_bias",),
+                         (7,), onset=10.0, duration=20.0)
+    attack_only = Intervention.from_labels(attack="gps_bias", onset=10.0)
+    assert probe_params(SUBJECT, attack_only) == grid
+    assert probe_key(attack_only) == grid.key()
+    assert probe_key(attack_only.with_intensity(0.5)) != grid.key()
 
 
 def test_unbounded_window_serializes_without_infinity():
-    d = BASE.edit_dict()
+    import json
+    d = probe_params(SUBJECT, BASE).to_dict()
     assert d["end"] is None
-    assert BASE.with_window(10.0, 13.0).edit_dict()["end"] == 13.0
-    # JSON-serializable throughout (cache_key_params would raise on inf).
+    assert probe_params(
+        SUBJECT, BASE.with_window(10.0, 13.0)).to_dict()["end"] == 13.0
+    json.dumps(d, allow_nan=False)  # the ledger form is strict JSON
     probe_key(BASE)
 
 
@@ -286,6 +304,42 @@ def test_intensity_onset_edits_key_injectively(intensity, onset):
         assert probe_key(edited) == probe_key(BASE)
     else:
         assert probe_key(edited) != probe_key(BASE)
+
+
+specs = st.builds(
+    RunSpec,
+    scenario=st.sampled_from(("s_curve", "urban_loop", "acc_follow")),
+    controller=st.sampled_from(("pure_pursuit", "stanley", "lqr")),
+    seed=st.integers(0, 2 ** 16),
+    duration=st.one_of(st.none(), st.floats(1.0, 90.0)),
+    attacks=st.lists(st.sampled_from(("gps_bias", "imu_gyro_bias")),
+                     unique=True, max_size=2).map(tuple),
+    faults=st.lists(st.sampled_from(("gps_dropout", "odom_freeze")),
+                    unique=True, max_size=2).map(tuple),
+    intensity=st.floats(0.01, 4.0),
+    onset=st.floats(0.0, 60.0),
+    end=st.one_of(st.just(math.inf), st.floats(0.0, 90.0)),
+    gate=st.one_of(st.none(), st.floats(1.0, 30.0)),
+    defect=st.one_of(st.none(), st.just("ctrl_gain_error")),
+    defect_args=st.one_of(st.just(()), st.floats(0.5, 9.0).map(
+        lambda f: (("factor", f),))),
+    supervised=st.booleans(),
+)
+
+
+@given(specs)
+@settings(max_examples=200, deadline=None)
+def test_spec_round_trips_through_its_ledger_form(spec):
+    import json
+    ledger = json.loads(json.dumps(spec.to_dict(), allow_nan=False))
+    assert RunSpec.from_dict(ledger) == spec
+    assert RunSpec.from_dict(ledger).key("cat") == spec.key("cat")
+
+
+@given(specs, specs)
+@settings(max_examples=200, deadline=None)
+def test_distinct_specs_get_distinct_keys(a, b):
+    assert (a.key("cat") == b.key("cat")) == (a == b)
 
 
 # ---------------------------------------------------------------------------

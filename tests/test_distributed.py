@@ -16,7 +16,7 @@ import pytest
 import repro
 from repro.experiments import runner
 from repro.experiments.backend import retry_cap, retry_delay
-from repro.experiments.cache import RunCache, cache_key
+from repro.experiments.cache import RunCache
 from repro.experiments.distributed import (
     GridSpec,
     HeartbeatThread,
@@ -26,6 +26,7 @@ from repro.experiments.distributed import (
     run_worker,
 )
 from repro.experiments.runner import clear_cache, run_grid
+from repro.experiments.spec import build_grid
 from repro.experiments.stats import STATS
 from repro.locking import FileLease, lease_state
 
@@ -34,12 +35,8 @@ GRID = dict(scenarios=("s_curve",), controllers=("pure_pursuit",),
             onset=5.0, duration=6.0)
 
 
-def _spec(shard_points=1):
-    return GridSpec.build(
-        scenarios=GRID["scenarios"], controllers=GRID["controllers"],
-        attacks=GRID["attacks"], seeds=GRID["seeds"], intensity=1.0,
-        onset=GRID["onset"], duration=GRID["duration"],
-        shard_points=shard_points)
+def _spec(shard_points=1, **engine):
+    return GridSpec.build(build_grid(**GRID), shard_points, **engine)
 
 
 @pytest.fixture()
@@ -53,14 +50,17 @@ def cache_dir(tmp_path, monkeypatch):
 
 class TestGridSpec:
     def test_roundtrip_preserves_points(self, cache_dir):
-        spec = _spec(shard_points=2)
+        spec = _spec(shard_points=2, sim_engine="batch",
+                     sim_engine_reason="auto: 4 pending run(s)")
         path = spec.save(RunCache())
         loaded = GridSpec.load(path)
         assert loaded == spec
-        assert loaded.points() == spec.points()
-        # The point list matches what run_grid itself would enumerate.
-        assert len(spec.points()) == 4
-        assert all(isinstance(p[4], int) for p in spec.points())
+        assert loaded.specs == spec.specs
+        assert loaded.sim_engine == "batch"
+        assert loaded.sim_engine_reason == "auto: 4 pending run(s)"
+        # The spec list matches what run_grid itself would enumerate.
+        assert len(spec.specs) == 4
+        assert all(isinstance(s.seed, int) for s in spec.specs)
 
     def test_version_mismatch_refused(self, cache_dir):
         spec = _spec()
@@ -91,7 +91,7 @@ class TestShardBoard:
         covered = []
         for shard in board.shards:
             covered.extend(board.shard_points(shard))
-        assert covered == spec.points()
+        assert covered == list(spec.specs)
 
     def test_ensure_is_idempotent(self, cache_dir):
         board = ShardBoard(RunCache(), _spec())
@@ -240,8 +240,8 @@ class TestRunWorker:
         board = ShardBoard(cache, spec)
         assert board.all_done()
         # Every point committed exactly once, under its canonical key.
-        for point in spec.points():
-            assert cache.contains(cache_key(*point, catalog=spec.catalog))
+        for point in spec.specs:
+            assert cache.contains(point.key(spec.catalog))
         assert cache.stats()["entries"] == 4
 
     def test_worker_skips_already_committed_points(self, cache_dir):

@@ -25,7 +25,7 @@ import time
 import pytest
 
 from repro.experiments import runner
-from repro.experiments.cache import RunCache, cache_key
+from repro.experiments.cache import RunCache
 from repro.experiments.distributed import (
     GridSpec,
     ShardBoard,
@@ -33,6 +33,7 @@ from repro.experiments.distributed import (
     run_worker,
 )
 from repro.experiments.runner import clear_cache, run_grid
+from repro.experiments.spec import build_grid
 from repro.experiments.stats import STATS
 
 GRID = dict(scenarios=("s_curve",), controllers=("pure_pursuit",),
@@ -43,11 +44,7 @@ _REAL_EXECUTE = runner._execute_point
 
 
 def _spec(shard_points):
-    return GridSpec.build(
-        scenarios=GRID["scenarios"], controllers=GRID["controllers"],
-        attacks=GRID["attacks"], seeds=GRID["seeds"], intensity=1.0,
-        onset=GRID["onset"], duration=GRID["duration"],
-        shard_points=shard_points)
+    return GridSpec.build(build_grid(**GRID), shard_points)
 
 
 def _verdict_set(runs):
@@ -135,8 +132,8 @@ class TestSigkilledWorker:
         cache = RunCache()
         board = ShardBoard(cache, spec)
         assert not board.all_done()  # it died owning an unfinished shard
-        committed = [p for p in spec.points()
-                     if cache.contains(cache_key(*p, catalog=spec.catalog))]
+        committed = [p for p in spec.specs
+                     if cache.contains(p.key(spec.catalog))]
         assert len(committed) == 1  # the one commit before the kill
 
         # A survivor joins: the victim's lease goes stale after the TTL,
@@ -166,8 +163,8 @@ class TestSigkilledWorker:
         cache = RunCache()
         board = ShardBoard(cache, spec)
         assert not board.all_done()  # bookkeeping lost...
-        committed = [p for p in spec.points()
-                     if cache.contains(cache_key(*p, catalog=spec.catalog))]
+        committed = [p for p in spec.specs
+                     if cache.contains(p.key(spec.catalog))]
         assert len(committed) == 2  # ...but no result was
 
         report = run_worker(spec, worker_id="survivor", ttl=1.0,
@@ -195,7 +192,10 @@ class TestDuplicateClaimants:
             return _REAL_EXECUTE(point)
 
         monkeypatch.setattr(runner, "_execute_point", steal_mid_shard)
-        report = run_worker(spec, worker_id="loser", ttl=30.0)
+        # Serial pinned: the sabotage hooks ``_execute_point``, which an
+        # auto-selected batch drain would legitimately bypass.
+        report = run_worker(spec, worker_id="loser", ttl=30.0,
+                            sim_engine="serial")
         assert report.lease_conflicts == 1  # loudly reported
         assert report.points_executed == 4  # the work still completed
         health = lease_health(RunCache())
@@ -208,9 +208,9 @@ class TestDuplicateClaimants:
         # Two claimants execute the same point: the content-addressed
         # commit collapses them to one entry with identical payloads.
         spec = _spec(shard_points=4)
-        point = spec.points()[0]
+        point = spec.specs[0]
         cache = RunCache()
-        key = cache_key(*point, catalog=spec.catalog)
+        key = point.key(spec.catalog)
         _, run_a, _ = runner._execute_point(point)
         cache.store(key, run_a.result, run_a.report, run_a.diagnosis)
         first = cache._trace_path(key).read_bytes()

@@ -64,6 +64,22 @@ class TestReadme:
             assert path.name in readme, f"{path.name} missing from README"
 
 
+class TestVersion:
+    def test_pyproject_carries_no_literal_version(self):
+        import re
+
+        import repro
+
+        pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        project = pyproject.split("[project]", 1)[1].split("\n[", 1)[0]
+        assert not re.search(r"^version\s*=", project, flags=re.M), (
+            "pyproject.toml must not hard-code the version")
+        assert re.search(r'^dynamic\s*=\s*\[[^]]*"version"', project,
+                         flags=re.M)
+        assert 'version = { attr = "repro.__version__" }' in pyproject
+        assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
+
+
 class TestExperimentsDoc:
     def test_every_experiment_in_experiments_md(self):
         text = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
@@ -151,16 +167,24 @@ class TestPlannerDoc:
         return (ROOT / "docs" / "planner.md").read_text(encoding="utf-8")
 
     def test_api_surface_documented(self, doc):
-        from repro.experiments import plan
+        from repro.experiments import plan, runner, spec
 
-        for name in ("ProbePlan", "scenario_lane", "PlannedRun"):
-            assert hasattr(plan, name), f"plan.{name} gone but documented"
-            assert name in doc, f"{name} missing from docs/planner.md"
-        assert hasattr(plan.ProbePlan, "plan_scored")
-        assert "plan_scored" in doc
+        surface = {plan: ("ProbePlan", "PlannedRun"),
+                   spec: ("RunSpec", "build_grid"),
+                   runner: ("drain", "simulate_batch")}
+        for module, names in surface.items():
+            for name in names:
+                assert hasattr(module, name), (
+                    f"{module.__name__}.{name} gone but documented")
+                assert name in doc, f"{name} missing from docs/planner.md"
+        for method in ("build", "run", "key", "to_dict", "from_dict"):
+            assert hasattr(spec.RunSpec, method)
+            assert f"{method}(" in doc, f"RunSpec.{method} undocumented"
+        assert hasattr(plan.ProbePlan, "add")
+        assert "add(" in doc
 
     def test_counters_documented(self, doc):
-        for counter in ("planned", "plan_batched", "plan_fallbacks",
+        for counter in ("batch_groups", "batch_points", "batch_fallbacks",
                         "dare_memo_hits", "dare_memo_solves"):
             assert counter in doc, f"{counter} missing from docs/planner.md"
 

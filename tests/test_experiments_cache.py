@@ -6,7 +6,6 @@ from repro.cli import main
 from repro.experiments.cache import (
     CACHE_FORMAT_VERSION,
     RunCache,
-    cache_key,
     default_cache_dir,
 )
 from repro.experiments.runner import (
@@ -17,6 +16,7 @@ from repro.experiments.runner import (
     run_scored,
     set_memo_limit,
 )
+from repro.experiments.spec import RunSpec
 from repro.experiments.stats import STATS
 
 POINT = dict(scenarios=("s_curve",), controllers=("pure_pursuit",),
@@ -33,11 +33,22 @@ def fresh_cache(tmp_path, monkeypatch):
     clear_cache()
 
 
+def cache_key(scenario, controller, attack, intensity, seed, onset,
+              duration, catalog=None):
+    """The key of one grid point, through its RunSpec."""
+    return RunSpec.from_labels(
+        scenario, controller, attack, intensity=intensity, seed=seed,
+        onset=onset, duration=duration).key(catalog)
+
+
 class TestCacheKey:
     BASE = ("s_curve", "pure_pursuit", "gps_bias", 1.0, 7, 15.0, None)
 
     def test_stable(self):
         assert cache_key(*self.BASE) == cache_key(*self.BASE)
+        # Equal specs key equal however their numbers were spelled.
+        assert cache_key("s_curve", "pure_pursuit", "gps_bias", 1, 7.0,
+                         15, None) == cache_key(*self.BASE)
 
     @pytest.mark.parametrize("index,value", [
         (0, "straight"),       # scenario
@@ -138,39 +149,30 @@ class TestDiskRoundTrip:
 
 
 class TestRunScored:
-    """Off-grid runs (E10-E13 style) go through the same cache layers."""
+    """Off-grid runs (E10-E14 style) go through the same cache layers."""
 
-    @staticmethod
-    def _simulate(seed=3):
-        from repro.attacks.campaign import standard_attack
-        from repro.sim.engine import run_scenario
-        from repro.sim.scenario import standard_scenarios
-
-        scenario = standard_scenarios(seed=seed, duration=12.0)["s_curve"]
-        return run_scenario(scenario, controller="pure_pursuit",
-                            campaign=standard_attack("gps_bias", onset=5.0))
-
-    PARAMS = {"kind": "test", "scenario": "s_curve", "attack": "gps_bias",
-              "seed": 3, "onset": 5.0, "duration": 12.0}
+    SPEC = RunSpec.from_labels("s_curve", attack="gps_bias", seed=3,
+                               onset=5.0, duration=12.0, gate=13.8)
 
     def test_layers_and_identity(self, fresh_cache):
-        result, report = run_scored(self.PARAMS, self._simulate)
+        result, report = run_scored(self.SPEC)
         assert STATS.last.executed == 1
         # Second call: memo hit, no simulation.
-        again = run_scored(self.PARAMS, self._simulate)
+        again = run_scored(self.SPEC)
         assert STATS.last.memo_hits == 1
         assert again[1].fired_ids == report.fired_ids
         # Memo cleared: served from disk, still identical.
         clear_cache()
-        res2, rep2 = run_scored(self.PARAMS, self._simulate)
+        res2, rep2 = run_scored(self.SPEC)
         assert STATS.last.disk_hits == 1
         assert rep2.fired_ids == report.fired_ids
         assert res2.metrics == result.metrics
         assert res2.trace.records == result.trace.records
 
     def test_different_params_execute(self, fresh_cache):
-        run_scored(self.PARAMS, self._simulate)
-        run_scored(dict(self.PARAMS, seed=4), lambda: self._simulate(4))
+        from dataclasses import replace
+        run_scored(self.SPEC)
+        run_scored(replace(self.SPEC, seed=4))
         assert STATS.last.executed == 1
 
 
@@ -182,7 +184,7 @@ class TestMemoLru:
                 run_grid(**dict(POINT, seeds=(seed,)))
             assert len(_MEMO) == 2
             # Most recent seeds survive, oldest were evicted.
-            kept_seeds = {key[4] for key in _MEMO}
+            kept_seeds = {spec.seed for spec in _MEMO}
             assert kept_seeds == {3, 4}
         finally:
             set_memo_limit(512)

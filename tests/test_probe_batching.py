@@ -6,16 +6,16 @@ semantic:
 * the search cores' ``prefetch`` hook is verdict-neutral: speculative
   candidate sets never change the returned boundary (hypothesis pins
   this over arbitrary predicates);
-* :class:`~repro.experiments.plan.ProbePlan` drains declared sweeps
-  through the batch engine with results identical to each run's serial
-  ``simulate`` closure, falling back whole-group on engine rejection;
+* :class:`~repro.experiments.plan.ProbePlan` drains declared specs
+  through the batch engine with results identical to the serial engine,
+  falling back whole-group on engine rejection;
 * the E10–E13 experiment tables are render-equal between a
   serial-pinned pass and the auto-batched planner pass — the
   ``bit_identical`` gate CI's probe-batching smoke enforces.
 
-Plus the params ledger: every off-grid commit records its params dict,
-so ``resolve_cache_key`` (and ``adassure explain <key>``) reverse-maps
-E10–E13 and probe entries.
+Plus the spec ledger: every commit records its RunSpec, so
+``resolve_cache_key`` (and ``adassure explain <key>``) reverse-maps grid,
+E10–E14 and probe entries from the ledger alone.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from repro.experiments.counterfactual import (
     ddmin_subset,
 )
 from repro.experiments.runner import choose_sim_engine, clear_cache
+from repro.experiments.spec import RunSpec
 from repro.experiments.stats import STATS
 
 
@@ -124,6 +125,24 @@ class TestSpeculativeAccounting:
         assert engine.stats.memo_hits == 2
         assert engine.stats.executed == 3  # the batched fleet itself
 
+    def test_cached_grid_point_is_not_a_warm_explanation(self, fresh_cache):
+        # An unedited probe IS the grid point, so a campaign caches the
+        # explanation's baseline; that alone must not switch speculation
+        # off — only a previous explanation's probes do.
+        from repro.experiments.counterfactual import explain
+        from repro.experiments.runner import run_grid
+        subject = dict(scenario="straight", controller="pure_pursuit",
+                       attack="gps_bias", seed=1, onset=2.0, duration=8.0,
+                       resolution=2.0, sim_engine="batch")
+        run_grid(("straight",), ("pure_pursuit",), ("none", "gps_bias"),
+                 (1,), onset=2.0, duration=8.0)
+        first = explain(**subject)
+        assert STATS.last.speculative_issued > 0
+        again = explain(**subject)
+        assert STATS.last.speculative_issued == 0
+        assert STATS.last.executed == 0
+        assert again.render() == first.render()
+
     def test_prefetch_noop_on_serial_engine(self, fresh_cache):
         from repro.experiments.counterfactual import (
             Intervention,
@@ -173,34 +192,14 @@ class TestChooseSimEngine:
 # The planner
 # ---------------------------------------------------------------------------
 
+def _gps_spec(seed, duration=8.0, **kwargs):
+    return RunSpec.from_labels("straight", attack="gps_bias", seed=seed,
+                               onset=2.0, duration=duration, **kwargs)
+
+
 def _plan_gps_sweep(plan, seeds, duration=8.0):
     """Declare a tiny straight-road gps_bias sweep on ``plan``."""
-    from repro.attacks.campaign import standard_attack
-    from repro.experiments.plan import scenario_lane
-    from repro.sim.engine import run_scenario
-    from repro.sim.scenario import standard_scenarios
-
-    handles = {}
-    for seed in seeds:
-        scenario = standard_scenarios(seed=seed,
-                                      duration=duration)["straight"]
-
-        def campaign():
-            return standard_attack("gps_bias", onset=2.0)
-
-        def simulate(scenario=scenario, campaign=campaign):
-            return run_scenario(scenario, campaign=campaign())
-
-        handles[seed] = plan.plan_scored(
-            {"kind": "mitigation", "scenario": "straight",
-             "controller": "pure_pursuit", "attack": "gps_bias",
-             "seed": seed, "onset": 2.0, "duration": duration,
-             "gate": None},
-            simulate,
-            lane=lambda scenario=scenario, campaign=campaign:
-            scenario_lane(scenario, campaign=campaign()),
-        )
-    return handles
+    return {seed: plan.add(_gps_spec(seed, duration)) for seed in seeds}
 
 
 class TestProbePlan:
@@ -214,9 +213,9 @@ class TestProbePlan:
         batched = ProbePlan(sim_engine="batch")
         handles = _plan_gps_sweep(batched, (1, 2, 3))
         stats = batched.drain()
-        assert stats.planned == 3
-        assert stats.plan_batched == 3
-        assert stats.plan_fallbacks == 0
+        assert stats.grid_points == 3
+        assert stats.batch_points == 3
+        assert stats.batch_fallbacks == 0
         assert stats.batch_groups == 1
         for seed, (result, report) in oracle.items():
             b_result, b_report = handles[seed].result()
@@ -243,41 +242,34 @@ class TestProbePlan:
         stats = plan.drain()
         assert stats.executed == 0
         assert stats.memo_hits == 2
-        assert stats.plan_batched == 0
+        assert stats.batch_points == 0
 
     def test_rejected_group_falls_back_whole(self, fresh_cache, monkeypatch):
-        import repro.sim.batch as batch_mod
+        from repro.experiments import runner
         from repro.experiments.plan import ProbePlan
 
         def explode(specs):
             raise RuntimeError("batch engine down")
 
-        monkeypatch.setattr(batch_mod, "run_batch", explode)
+        monkeypatch.setattr(runner, "run_batch", explode)
         plan = ProbePlan(sim_engine="batch")
         handles = _plan_gps_sweep(plan, (1, 2, 3))
         stats = plan.drain()
-        assert stats.plan_fallbacks == 1
-        assert stats.plan_batched == 0
+        assert stats.batch_fallbacks == 1
+        assert stats.batch_points == 0
         assert stats.executed == 3  # whole group re-ran serially
         assert all(run.done for run in handles.values())
 
-    def test_lane_none_forces_serial(self, fresh_cache):
+    def test_serial_engine_forces_serial(self, fresh_cache):
         from repro.experiments.plan import ProbePlan
-        from repro.sim.engine import run_scenario
-        from repro.sim.scenario import standard_scenarios
-        plan = ProbePlan(sim_engine="batch")
+        plan = ProbePlan(sim_engine="serial")
         for seed in (1, 2):
-            scenario = standard_scenarios(seed=seed, duration=8.0)["straight"]
-            plan.plan_scored(
-                {"kind": "mitigation", "scenario": "straight",
-                 "controller": "pure_pursuit", "attack": "none",
-                 "seed": seed, "onset": 2.0, "duration": 8.0, "gate": None},
-                lambda scenario=scenario: run_scenario(scenario),
-                lane=None)
+            plan.add(RunSpec("straight", seed=seed, onset=2.0,
+                             duration=8.0))
         stats = plan.drain()
         assert stats.executed == 2
-        assert stats.plan_batched == 0
-        assert stats.plan_fallbacks == 0
+        assert stats.batch_points == 0
+        assert stats.batch_fallbacks == 0
 
     def test_auto_engine_selected_per_drain(self, fresh_cache, monkeypatch):
         from repro.experiments.plan import ProbePlan
@@ -304,8 +296,8 @@ class TestParamsLedger:
     def test_record_and_load_roundtrip(self, tmp_path):
         from repro.experiments.cache import RunCache
         cache = RunCache(tmp_path)
-        params = {"kind": "acc", "attack": "radar_ghost", "seed": 3,
-                  "onset": 10.0}
+        params = RunSpec.from_labels("acc_follow", attack="radar_ghost",
+                                     seed=3, onset=10.0).to_dict()
         cache.record_params("ab" * 20, params)
         assert cache.load_params("ab" * 20) == params
         assert cache.load_params("cd" * 20) is None
@@ -313,71 +305,92 @@ class TestParamsLedger:
     def test_corrupt_ledger_entry_is_a_miss(self, tmp_path):
         from repro.experiments.cache import RunCache
         cache = RunCache(tmp_path)
-        cache.record_params("ab" * 20, {"kind": "acc"})
+        cache.record_params("ab" * 20, RunSpec("s_curve").to_dict())
         cache._params_path("ab" * 20).write_text("{not json",
                                                  encoding="utf-8")
         assert cache.load_params("ab" * 20) is None
 
     @pytest.mark.parametrize("params,expected", [
-        ({"kind": "mitigation", "scenario": "urban_loop",
-          "controller": "pure_pursuit", "attack": "gps_drift", "seed": 7,
-          "onset": 15.0, "duration": 40.0, "gate": 13.8},
+        # E10: gated estimator
+        (dict(scenario="urban_loop", attack="gps_drift", seed=7,
+              onset=15.0, duration=40.0, gate=13.8),
          {"scenario": "urban_loop", "controller": "pure_pursuit",
           "attack": "gps_drift", "seed": 7, "onset": 15.0,
           "duration": 40.0, "gate": 13.8}),
-        ({"kind": "multi_attack", "pair": ["gps_bias", "imu_gyro_bias"],
-          "scenario": "s_curve", "seed": 3, "onset": 12.0},
+        # E11: concurrent attack pair
+        (dict(scenario="s_curve", attack="gps_bias+imu_gyro_bias", seed=3,
+              onset=12.0),
          {"scenario": "s_curve", "controller": "pure_pursuit",
           "attack": "gps_bias+imu_gyro_bias", "seed": 3, "onset": 12.0}),
-        ({"kind": "acc", "attack": "radar_scale", "seed": 5, "onset": 10.0},
+        # E12: car following
+        (dict(scenario="acc_follow", attack="radar_scale", seed=5,
+              onset=10.0),
          {"scenario": "acc_follow", "controller": "pure_pursuit",
           "attack": "radar_scale", "seed": 5, "onset": 10.0}),
-        ({"kind": "defect", "defect": "ctrl_deadband",
-          "defect_params": {"threshold": 0.12}, "scenario": "s_curve",
-          "seed": 2},
+        # E13: injected controller defect
+        (dict(scenario="s_curve", seed=2, defect="ctrl_deadband",
+              defect_args={"threshold": 0.12}),
          {"scenario": "s_curve", "controller": "pure_pursuit", "seed": 2,
           "defect": "ctrl_deadband", "defect_args": {"threshold": 0.12}}),
+        # E14: supervised stack under a fault
+        (dict(scenario="urban_loop", fault="gps_freeze", seed=4,
+              onset=15.0, duration=40.0, supervised=True),
+         {"scenario": "urban_loop", "controller": "pure_pursuit",
+          "fault": "gps_freeze", "seed": 4, "onset": 15.0,
+          "duration": 40.0, "supervised": True}),
     ])
     def test_resolve_maps_off_grid_kinds(self, fresh_cache, params,
                                          expected):
-        from repro.experiments.cache import RunCache, cache_key_params
+        from repro.experiments.cache import RunCache
         from repro.experiments.counterfactual import resolve_cache_key
-        cache = RunCache.from_env()
-        key = cache_key_params(params)
-        cache.record_params(key, params)
-        assert resolve_cache_key(key) == expected
+        from repro.experiments.runner import run_scored
+        spec = RunSpec.from_labels(**params)
+        run_scored(spec)
+        assert not (RunCache.from_env().root / "checkpoints").exists()
+        resolved = resolve_cache_key(spec.key())
+        assert resolved == spec
+        for field, value in expected.items():
+            got = getattr(resolved, field)
+            assert (dict(got) if field == "defect_args" else got) == value
+
+    def test_resolve_maps_grid_point(self, fresh_cache):
+        import shutil
+
+        from repro.experiments.cache import RunCache
+        from repro.experiments.counterfactual import resolve_cache_key
+        from repro.experiments.runner import run_grid
+        (run,) = run_grid(("straight",), ("stanley",), ("gps_bias",), (5,),
+                          onset=2.0, duration=8.0)
+        # The ledger alone resolves it: no manifest needed.
+        shutil.rmtree(RunCache.from_env().root / "checkpoints")
+        assert resolve_cache_key(run.spec.key()) == run.spec
 
     def test_resolve_maps_probe_kind(self, fresh_cache):
-        from repro.experiments.cache import RunCache, cache_key_params
         from repro.experiments.counterfactual import (
             Intervention,
+            ProbeEngine,
             Subject,
             probe_params,
             resolve_cache_key,
         )
-        subject = Subject(scenario="s_curve", controller="stanley", seed=9,
-                          duration=20.0)
+        subject = Subject(scenario="straight", controller="stanley", seed=9,
+                          duration=8.0)
         intervention = Intervention.from_labels(
-            "gps_bias", "gps_dropout", intensity=0.5, onset=10.0)
-        params = probe_params(subject, intervention)
-        cache = RunCache.from_env()
-        key = cache_key_params(params)
-        cache.record_params(key, params)
-        kwargs = resolve_cache_key(key)
-        assert kwargs == {
-            "scenario": "s_curve", "controller": "stanley",
-            "attack": "gps_bias", "fault": "gps_dropout",
-            "intensity": 0.5, "onset": 10.0, "seed": 9, "duration": 20.0,
-        }
+            "gps_bias", "gps_dropout", intensity=0.5, onset=2.0)
+        ProbeEngine(subject, sim_engine="serial").outcome(intervention)
+        spec = resolve_cache_key(probe_params(subject, intervention).key())
+        assert spec == probe_params(subject, intervention)
+        assert (spec.scenario, spec.controller, spec.attack, spec.fault,
+                spec.intensity, spec.onset, spec.seed, spec.duration) == (
+            "straight", "stanley", "gps_bias", "gps_dropout", 0.5, 2.0, 9,
+            8.0)
 
     def test_unknown_kind_and_unknown_key_resolve_to_none(self, fresh_cache):
-        from repro.experiments.cache import RunCache, cache_key_params
+        from repro.experiments.cache import RunCache
         from repro.experiments.counterfactual import resolve_cache_key
         cache = RunCache.from_env()
-        params = {"kind": "mystery", "x": 1}
-        key = cache_key_params(params)
-        cache.record_params(key, params)
-        assert resolve_cache_key(key) is None
+        cache.record_params("ab" * 20, {"kind": "mystery", "x": 1})
+        assert resolve_cache_key("ab" * 20) is None
         assert resolve_cache_key("0" * 40) is None
 
     def test_commit_records_ledger_entry(self, fresh_cache):
@@ -425,6 +438,6 @@ class TestExperimentDifferential:
         assert batched == serial
         # The batch pass really batched: every planned run drained
         # through the lockstep engine, no group fell back.
-        assert STATS.total.planned > 0
-        assert STATS.total.plan_batched == STATS.total.planned
-        assert STATS.total.plan_fallbacks == 0
+        assert STATS.total.grid_points > 0
+        assert STATS.total.batch_points == STATS.total.grid_points
+        assert STATS.total.batch_fallbacks == 0

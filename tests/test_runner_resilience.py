@@ -16,6 +16,7 @@ import pytest
 
 from repro.experiments import runner
 from repro.experiments.runner import clear_cache, run_grid
+from repro.experiments.spec import build_grid
 from repro.experiments.stats import STATS
 
 _PARENT = os.getpid()
@@ -37,14 +38,15 @@ _REAL_EXECUTE = runner._execute_point
 def _poison_odom_scale(point):
     """Kills the *worker process* on odom_scale points — children only,
     so the parent's serial fallback still succeeds."""
-    if os.getpid() != _PARENT and point[2] == "odom_scale":
+    if os.getpid() != _PARENT and point.attack == "odom_scale":
         os._exit(13)
     return _REAL_EXECUTE(point)
 
 
 def _hang_first_gps_bias(point):
     """Wedges the worker on the (gps_bias, seed 1) point — children only."""
-    if os.getpid() != _PARENT and point[2] == "gps_bias" and point[4] == 1:
+    if (os.getpid() != _PARENT and point.attack == "gps_bias"
+            and point.seed == 1):
         import time
         time.sleep(8.0)
     return _REAL_EXECUTE(point)
@@ -101,7 +103,7 @@ class TestRetryAndQuarantine:
         attempts = {"n": 0}
 
         def flaky(point):
-            if point[2] == "gps_bias" and point[4] == 1:
+            if point.attack == "gps_bias" and point.seed == 1:
                 attempts["n"] += 1
                 if attempts["n"] <= 2:
                     raise OSError("transient")
@@ -116,7 +118,7 @@ class TestRetryAndQuarantine:
     def test_hopeless_point_is_quarantined_not_fatal(self, no_cache,
                                                      monkeypatch):
         def hopeless(point):
-            if point[2] == "odom_scale":
+            if point.attack == "odom_scale":
                 raise RuntimeError("sick point")
             return _REAL_EXECUTE(point)
 
@@ -257,8 +259,8 @@ class TestManifestLease:
         monkeypatch.setenv("ADASSURE_CACHE_DIR", str(tmp_path))
         monkeypatch.delenv("ADASSURE_CACHE", raising=False)
         cache = RunCache()
-        grid = [("s_curve", "pure_pursuit", "gps_bias", 1.0, s, 5.0, 12.0)
-                for s in (1, 7, 42)]
+        grid = build_grid(("s_curve",), ("pure_pursuit",), ("gps_bias",),
+                          (1, 7, 42), onset=5.0, duration=12.0)
 
         first = CheckpointManifest.for_grid(cache, grid)
         assert not first.lease_conflict
@@ -272,7 +274,7 @@ class TestManifestLease:
 
         # The read-only second writer must not have touched the ledger.
         ledger = json.loads(first.path.read_text())
-        assert ledger["completed"] == [list(grid[0])]
+        assert ledger["completed"] == [grid[0].to_dict()]
 
         # The owner keeps flushing normally.
         first.complete(grid[1])
@@ -294,14 +296,7 @@ class TestManifestLease:
         clear_cache()
 
         # Hold the lease for exactly the grid run_grid will build.
-        grid = [
-            (scenario, controller, attack, 1.0, seed, GRID["onset"],
-             GRID["duration"])
-            for scenario in GRID["scenarios"]
-            for controller in GRID["controllers"]
-            for attack in GRID["attacks"]
-            for seed in GRID["seeds"]
-        ]
+        grid = build_grid(**GRID)
         holder = CheckpointManifest.for_grid(RunCache(), grid)
         assert not holder.lease_conflict
         holder.flush()  # materialize the (empty) ledger on disk

@@ -372,12 +372,55 @@ class TestGridRunnerEquivalence:
         assert STATS.last.pool_policy == "pool"
 
     def test_resolve_sim_engine(self, monkeypatch):
-        from repro.experiments.runner import resolve_sim_engine
+        from repro.experiments.runner import choose_sim_engine
         monkeypatch.delenv("ADASSURE_SIM", raising=False)
-        assert resolve_sim_engine() == "serial"
-        assert resolve_sim_engine("batch") == "batch"
+        assert choose_sim_engine()[0] == "serial"
+        assert choose_sim_engine("batch")[0] == "batch"
         monkeypatch.setenv("ADASSURE_SIM", "batch")
-        assert resolve_sim_engine() == "batch"
-        assert resolve_sim_engine("serial") == "serial"
+        assert choose_sim_engine()[0] == "batch"
+        assert choose_sim_engine("serial")[0] == "serial"
         with pytest.raises(ValueError):
-            resolve_sim_engine("warp")
+            choose_sim_engine("warp")
+
+    def test_clear_cache_is_cold(self, tmp_path, monkeypatch):
+        # clear_cache() must also forget the batch engine's cross-lane
+        # DARE gains: the next LQR batch solves again instead of hitting.
+        from repro.experiments.runner import clear_cache, run_grid
+        from repro.experiments.stats import STATS
+        monkeypatch.setenv("ADASSURE_CACHE_DIR", str(tmp_path))
+        grid = dict(scenarios=("straight",), controllers=("lqr",),
+                    attacks=("none", "gps_bias"), seeds=(1,), duration=8.0,
+                    workers=1, sim_engine="batch")
+        for _ in range(2):
+            clear_cache(disk=True)
+            run_grid(**grid)
+            assert STATS.last.batch_groups == 1
+            assert STATS.last.dare_memo_solves > 0
+
+
+class TestRunSpecEquivalence:
+    """``RunSpec.build()`` is the one object-graph builder: for a spec of
+    every run family, the serial engine and the batch engine must produce
+    the same bits from it."""
+
+    @pytest.mark.parametrize("family,spec", [
+        ("grid", dict(scenario="s_curve", controller="stanley",
+                      attack="gps_bias", onset=3.0)),
+        ("e10-gated", dict(scenario="s_curve", attack="gps_freeze",
+                           onset=3.0, gate=13.8)),
+        ("e11-pair", dict(scenario="s_curve",
+                          attack="gps_drift+steer_offset", onset=3.0)),
+        ("e12-acc", dict(scenario="acc_follow", attack="radar_ghost",
+                         onset=3.0)),
+        ("e13-defect", dict(scenario="s_curve", defect="ctrl_gain_error",
+                            defect_args={"factor": 7.0})),
+        ("e14-supervised", dict(scenario="s_curve", fault="gps_freeze",
+                                onset=3.0, supervised=True)),
+    ])
+    def test_serial_and_batch_agree(self, family, spec):
+        from repro.experiments.spec import RunSpec
+        spec = RunSpec.from_labels(seed=7, duration=8.0, **spec)
+        neighbour = dataclasses.replace(spec, seed=8)
+        batch = run_batch([spec.build(), neighbour.build()])
+        assert_results_identical(spec.run(), batch[0])
+        assert_results_identical(neighbour.run(), batch[1])
