@@ -29,6 +29,8 @@ attack/fault signatures it is designed to catch.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import deque
 
 import numpy as np
 
@@ -44,6 +46,25 @@ __all__ = [
 ]
 
 _SETTLE = 8.0  # seconds of launch transient excluded from behaviour checks
+
+
+def _divisor(values: np.ndarray) -> np.ndarray:
+    """``values``, after raising what a Python float division by any of
+    them would: array division turns ``x / 0.0`` into inf or NaN."""
+    if (values == 0.0).any():
+        raise ZeroDivisionError("float division by zero")
+    return values
+
+
+def _at_rows(
+    n: int, rows: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A ``margin_array`` result applicable only at ``rows``."""
+    margins = np.zeros(n, dtype=np.float64)
+    applicable = np.zeros(n, dtype=bool)
+    margins[rows] = values
+    applicable[rows] = True
+    return margins, applicable
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +137,49 @@ class GpsDeadReckoningAssertion(TraceAssertion):
         bound = self.base_bound + self.per_meter * self._dist
         return 1.0 - error / bound
 
+    def margin_array(
+        self, cols: TraceColumns
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # Dead reckoning is a sequential trig recurrence: run margin()'s
+        # exact scalar steps over the eight channels it reads.
+        n = cols.n
+        margins = [0.0] * n
+        applicable = [False] * n
+        anchor_t = heading = last_t = None
+        dr_x = dr_y = dist = 0.0
+        rows = zip(*(cols.get(name).tolist() for name in (
+            "t", "compass_fresh", "compass_yaw", "imu_yaw_rate",
+            "odom_speed", "gps_fresh", "gps_x", "gps_y")))
+        for i, (t, compass_fresh, compass_yaw, yaw_rate, speed, gps_fresh,
+                gps_x, gps_y) in enumerate(rows):
+            if compass_fresh or heading is None:
+                heading = compass_yaw
+            if last_t is not None:
+                dt = t - last_t
+                if not compass_fresh:
+                    heading += yaw_rate * dt
+                mid_heading = heading - 0.5 * yaw_rate * dt
+                step = speed * dt
+                dr_x += step * math.cos(mid_heading)
+                dr_y += step * math.sin(mid_heading)
+                dist += abs(step)
+            last_t = t
+            if not gps_fresh:
+                continue
+            if anchor_t is None or (t - anchor_t) >= self.anchor_window:
+                anchor_t = t
+                dr_x = gps_x
+                dr_y = gps_y
+                dist = 0.0
+                continue
+            if dist < self.min_travel:
+                continue
+            error = math.hypot(gps_x - dr_x, gps_y - dr_y)
+            bound = self.base_bound + self.per_meter * dist
+            margins[i] = 1.0 - error / bound
+            applicable[i] = True
+        return np.array(margins), np.array(applicable, dtype=bool)
+
 
 class GpsJumpAssertion(TraceAssertion):
     """A5 — consecutive GPS fixes must be kinematically plausible.
@@ -151,6 +215,26 @@ class GpsJumpAssertion(TraceAssertion):
         dist = math.hypot(record.gps_x - prev[1], record.gps_y - prev[2])
         bound = (record.odom_speed + self.speed_margin) * dt_fix + self.base_allowance
         return 1.0 - dist / bound
+
+    def margin_array(
+        self, cols: TraceColumns
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # Each fix is compared with the previous fix: pair consecutive
+        # fresh samples, keep math.hypot scalar.
+        fixes = np.flatnonzero(cols.get("gps_fresh"))
+        cur, prev = fixes[1:], fixes[:-1]
+        t = cols.get("t")
+        x = cols.get("gps_x")
+        y = cols.get("gps_y")
+        with np.errstate(all="ignore"):
+            dt_fix = t[cur] - t[prev]
+            ok = ~(dt_fix <= 0)
+            cur, prev, dt_fix = cur[ok], prev[ok], dt_fix[ok]
+            dist = np.array([math.hypot(dx, dy) for dx, dy in zip(
+                (x[cur] - x[prev]).tolist(), (y[cur] - y[prev]).tolist())])
+            bound = ((cols.get("odom_speed")[cur] + self.speed_margin) * dt_fix
+                     + self.base_allowance)
+            return _at_rows(cols.n, cur, 1.0 - dist / _divisor(bound))
 
 
 class GpsFreezeAssertion(TraceAssertion):
@@ -190,6 +274,30 @@ class GpsFreezeAssertion(TraceAssertion):
                 self._last_fix = fix
                 self._odom_since_move = 0.0
         return 1.0 - self._odom_since_move / self.allowed_distance
+
+    def margin_array(
+        self, cols: TraceColumns
+    ) -> tuple[np.ndarray, None]:
+        # The odometry accumulator restarts whenever a fix moves: keep the
+        # sequential sum and the hypot test scalar, divide as an array.
+        t = cols.get("t")
+        with np.errstate(all="ignore"):
+            travel = (cols.get("odom_speed")[1:] * (t[1:] - t[:-1])).tolist()
+        since_move = [0.0] * cols.n
+        odom = 0.0
+        last_fix = None
+        for i, (fresh, x, y) in enumerate(zip(
+                cols.get("gps_fresh").tolist(), cols.get("gps_x").tolist(),
+                cols.get("gps_y").tolist())):
+            if i:
+                odom += travel[i - 1]
+            if fresh and (last_fix is None or math.hypot(
+                    x - last_fix[0], y - last_fix[1]) > self.move_threshold):
+                last_fix = (x, y)
+                odom = 0.0
+            since_move[i] = odom
+        with np.errstate(all="ignore"):
+            return 1.0 - np.array(since_move) / self.allowed_distance, None
 
 
 class SpeedConsistencyAssertion(TraceAssertion):
@@ -238,6 +346,56 @@ class SpeedConsistencyAssertion(TraceAssertion):
         v_odom = sum(odom_in_span) / len(odom_in_span)
         return 1.0 - abs(v_gps - v_odom) / self.bound
 
+    def margin_array(
+        self, cols: TraceColumns
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # margin()'s odometry buffer always holds a contiguous run of
+        # steps (one append per step, pops from the front), so it is
+        # the index window [head, i]; with sorted timestamps its samples
+        # at or after the baseline fix are a suffix, found by bisection.
+        # The fix buffer is a deque, scanned from the newest fix.
+        n = cols.n
+        margins = [0.0] * n
+        applicable = [False] * n
+        t_arr = cols.get("t")
+        sorted_t = bool((t_arr[1:] >= t_arr[:-1]).all())
+        times = t_arr.tolist()
+        speeds = cols.get("odom_speed").tolist()
+        head = 0
+        fixes: deque[tuple[float, float, float]] = deque()
+        for i, (t, fresh, x, y) in enumerate(zip(
+                times, cols.get("gps_fresh").tolist(),
+                cols.get("gps_x").tolist(), cols.get("gps_y").tolist())):
+            cutoff = t - 2.0 * self.baseline
+            while head <= i and times[head] < cutoff:
+                head += 1
+            if not fresh:
+                continue
+            fixes.append((t, x, y))
+            while fixes and fixes[0][0] < cutoff:
+                fixes.popleft()
+            old = None
+            for fix in reversed(fixes):
+                if t - fix[0] >= self.baseline:
+                    old = fix
+                    break
+            if old is None:
+                continue
+            span = t - old[0]
+            v_gps = math.hypot(x - old[1], y - old[2]) / span
+            if sorted_t:
+                odom_in_span = speeds[bisect_left(times, old[0], head, i + 1):
+                                      i + 1]
+            else:
+                odom_in_span = [speeds[j] for j in range(head, i + 1)
+                                if times[j] >= old[0]]
+            if not odom_in_span:
+                continue
+            v_odom = sum(odom_in_span) / len(odom_in_span)
+            margins[i] = 1.0 - abs(v_gps - v_odom) / self.bound
+            applicable[i] = True
+        return np.array(margins), np.array(applicable, dtype=bool)
+
 
 class ImuCompassConsistencyAssertion(TraceAssertion):
     """A8 — integrated gyro rate must match the compass heading change.
@@ -283,6 +441,40 @@ class ImuCompassConsistencyAssertion(TraceAssertion):
         gyro_delta = self._buffer[-1][1] - self._buffer[0][1]
         compass_delta = self._buffer[-1][2] - self._buffer[0][2]
         return 1.0 - abs(gyro_delta - compass_delta) / self.bound
+
+    def margin_array(
+        self, cols: TraceColumns
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # The gyro integral is a running sum and the compass unwrap a
+        # scalar fmod chain; both run in margin()'s order.
+        n = cols.n
+        margins = [0.0] * n
+        applicable = [False] * n
+        t = cols.get("t")
+        with np.errstate(all="ignore"):
+            turn = (cols.get("imu_yaw_rate")[1:] * (t[1:] - t[:-1])).tolist()
+        gyro = 0.0
+        compass = None
+        buffer: deque[tuple[float, float, float]] = deque()
+        for i, (ti, yaw) in enumerate(zip(
+                t.tolist(), cols.get("compass_yaw").tolist())):
+            if i:
+                gyro += turn[i - 1]
+            if compass is None:
+                compass = yaw
+            else:
+                compass += angle_diff(yaw, compass)
+            buffer.append((ti, gyro, compass))
+            cutoff = ti - self.window
+            while buffer and buffer[0][0] < cutoff:
+                buffer.popleft()
+            first, last = buffer[0], buffer[-1]
+            if last[0] - first[0] < 0.75 * self.window:
+                continue
+            margins[i] = 1.0 - abs(
+                (last[1] - first[1]) - (last[2] - first[2])) / self.bound
+            applicable[i] = True
+        return np.array(margins), np.array(applicable, dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +822,18 @@ class GoalReachedAssertion(TraceAssertion):
             self._min_dist = min(self._min_dist, record.dist_to_goal)
         return None
 
+    def margin_array(
+        self, cols: TraceColumns
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # Never applicable per step; record the minimum for end_margin()
+        # as margin() does (NaN distances fail the >= test on both paths).
+        dist = cols.get("dist_to_goal")
+        on_route = dist[dist >= 0.0]
+        if on_route.size:
+            self._applicable = True
+            self._min_dist = float(on_route.min())
+        return np.zeros(cols.n), np.zeros(cols.n, dtype=bool)
+
     def end_margin(self, last_record: TraceRecord | None) -> float | None:
         if not self._applicable:
             return None
@@ -710,6 +914,24 @@ class RadarJumpAssertion(TraceAssertion):
                  + self.base_allowance)
         return 1.0 - delta / bound
 
+    def margin_array(
+        self, cols: TraceColumns
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # Pure elementwise arithmetic over consecutive tracked samples.
+        tracked = np.flatnonzero(cols.get("lead_present")
+                                 & cols.get("radar_fresh"))
+        cur, prev = tracked[1:], tracked[:-1]
+        t = cols.get("t")
+        radar = cols.get("radar_range")
+        with np.errstate(all="ignore"):
+            dt_track = t[cur] - t[prev]
+            ok = ~((dt_track <= 0) | (dt_track > 1.0))
+            cur, prev, dt_track = cur[ok], prev[ok], dt_track[ok]
+            delta = np.abs(radar[cur] - radar[prev])
+            bound = ((cols.get("odom_speed")[cur] + self.closing_margin)
+                     * dt_track + self.base_allowance)
+            return _at_rows(cols.n, cur, 1.0 - delta / _divisor(bound))
+
 
 class RadarRateConsistencyAssertion(TraceAssertion):
     """A19 — the radar's range derivative must match its range-rate.
@@ -748,6 +970,43 @@ class RadarRateConsistencyAssertion(TraceAssertion):
         slope = (tracks[-1][1] - tracks[0][1]) / span
         mean_rate = sum(rate for _, _, rate in tracks) / len(tracks)
         return 1.0 - abs(slope - mean_rate) / self.bound
+
+    def margin_array(
+        self, cols: TraceColumns
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # Only tracked samples touch the window; keep it as three deques
+        # and the mean as builtin sum() over the same values in order.
+        tracked = np.flatnonzero(cols.get("lead_present")
+                                 & cols.get("radar_fresh"))
+        times: deque[float] = deque()
+        ranges: deque[float] = deque()
+        rates: deque[float] = deque()
+        rows, values = [], []
+        for i, t, r, rate in zip(
+                tracked.tolist(), cols.get("t")[tracked].tolist(),
+                cols.get("radar_range")[tracked].tolist(),
+                cols.get("radar_range_rate")[tracked].tolist()):
+            if times and t - times[-1] > 1.0:
+                times.clear()
+                ranges.clear()
+                rates.clear()
+            times.append(t)
+            ranges.append(r)
+            rates.append(rate)
+            cutoff = t - self.window
+            while times and times[0] < cutoff:
+                times.popleft()
+                ranges.popleft()
+                rates.popleft()
+            span = times[-1] - times[0]
+            if span < 0.75 * self.window:
+                continue
+            slope = (ranges[-1] - ranges[0]) / span
+            mean_rate = sum(rates) / len(rates)
+            rows.append(i)
+            values.append(1.0 - abs(slope - mean_rate) / self.bound)
+        return _at_rows(cols.n, np.array(rows, dtype=np.intp),
+                        np.array(values, dtype=np.float64))
 
 
 class ControlResponsivenessAssertion(TraceAssertion):
@@ -868,6 +1127,52 @@ class ActuationConsistencyAssertion(TraceAssertion):
                                 self.steer_max)
         error = abs(record.steer_applied - self._model_steer)
         return 1.0 - error / self.tolerance
+
+    def margin_array(
+        self, cols: TraceColumns
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # The actuator model is a sequential lag/rate/saturation chain
+        # with a scalar math.exp.  Python's max(a, b) is exactly
+        # ``b if b > a else a`` (min: ``b if b < a else a``), so the
+        # command clamp and the per-step rate limits are arrays and the
+        # loop clamps with conditional expressions.
+        n = cols.n
+        applicable = np.ones(n, dtype=bool)
+        applicable[:1] = False
+        if n == 0:
+            return np.zeros(0), applicable
+        t = cols.get("t")
+        applied = cols.get("steer_applied")
+        hi = self.steer_max
+        lo = -self.steer_max
+        with np.errstate(all="ignore"):
+            dt = t[1:] - t[:-1]
+            cmd = cols.get("steer_cmd")[1:]
+            cmd = np.where(lo > cmd, lo, cmd)
+            target = np.where(hi < cmd, hi, cmd).tolist()
+            decay = (-dt / self.steer_tau).tolist() if self.steer_tau > 0 \
+                else [None] * (n - 1)
+            rate_lo = (-self.rate_max * dt).tolist()
+            rate_hi = (self.rate_max * dt).tolist()
+        model_steer = applied[0].item()
+        model = [model_steer]
+        for target_i, decay_i, rate_lo_i, rate_hi_i in zip(
+                target, decay, rate_lo, rate_hi):
+            if decay_i is None:
+                desired = target_i
+            else:
+                alpha = 1.0 - math.exp(decay_i)
+                desired = model_steer + alpha * (target_i - model_steer)
+            delta = desired - model_steer
+            delta = rate_lo_i if rate_lo_i > delta else delta
+            delta = rate_hi_i if rate_hi_i < delta else delta
+            steer = model_steer + delta
+            steer = lo if lo > steer else steer
+            model_steer = hi if hi < steer else steer
+            model.append(model_steer)
+        with np.errstate(all="ignore"):
+            error = np.abs(applied - np.array(model))
+            return 1.0 - error / self.tolerance, applicable
 
 
 class DegradedTrackingAssertion(TraceAssertion):

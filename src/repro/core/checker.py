@@ -3,10 +3,12 @@
 Two engines produce byte-identical reports:
 
 * ``"vector"`` (default) — each assertion evaluates the whole trace at
-  once via :meth:`~repro.core.dsl.TraceAssertion.evaluate_offline`,
-  using the trace's columnar view and array-level margin/episode
-  extraction where the assertion supports it (stateful assertions fall
-  back to an exact sequential margin loop).
+  once via :meth:`~repro.core.dsl.TraceAssertion.evaluate_offline`: its
+  column kernel reads only the channels it needs from the trace's
+  columnar view, and episodes are extracted as array operations.  Every
+  catalog assertion has a kernel, so a column-backed trace (e.g. one
+  decoded from ``.npz``) is checked without building its records; only
+  user assertions without a kernel fall back to the per-record loop.
 * ``"step"`` — wraps the :class:`~repro.core.monitor.OnlineMonitor`,
   feeding records one by one.  Retained as the differential-testing
   oracle and for parity with live monitoring.

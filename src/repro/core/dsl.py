@@ -17,7 +17,11 @@ The same objects serve two engines:
   computes the full margin array in one shot (via
   :meth:`TraceAssertion.margin_array` over the trace's columnar view) and
   runs debounce/episode extraction as array operations over the
-  run-length encoding of the bad/good margin signs.
+  run-length encoding of the bad/good margin signs.  Every built-in
+  assertion has such a column kernel, so checking a column-backed trace
+  never builds a :class:`~repro.trace.schema.TraceRecord`; the per-record
+  margin loop remains only for assertions without one (a
+  :class:`FunctionAssertion` lacking ``fn_array``, or having ``end_fn``).
 
 Both paths produce byte-identical verdicts.  That is an engineered
 property, not an accident: every vectorized margin uses the same
@@ -25,9 +29,11 @@ elementwise float64 operations as its scalar twin (IEEE-754 elementwise
 ops match Python scalar ops bit for bit), and windowed means are defined
 as *prefix-sum differences* on both paths — ``np.cumsum`` reproduces a
 sequential running sum exactly, whereas pairwise summation
-(``np.add.reduceat``) would not.  Equivalence over the full grid is
-enforced by ``tests/test_checker_equivalence.py`` and a CI benchmark
-smoke step.
+(``np.add.reduceat``) would not.  Stateful kernels run :meth:`margin`'s
+recurrence in the same order over ``.tolist()`` channel values, keeping
+transcendental functions as scalar ``math.*`` calls (NumPy's ``hypot``
+and ``exp`` may differ in the last bit).  Equivalence is enforced by
+``tests/test_checker_equivalence.py`` and a CI benchmark smoke step.
 """
 
 from __future__ import annotations
@@ -130,20 +136,23 @@ class TraceAssertion(abc.ABC):
         counts as a *good* sample and never becomes the worst margin).
 
         Implementations must be bit-identical to iterating
-        :meth:`margin`: use the same elementwise float64 operations, and
-        express windowed means as prefix-sum differences on both paths.
-        The default returns ``None``, which makes
-        :meth:`evaluate_offline` fall back to the sequential margin loop
-        (state-machine subclasses stay exact without extra work).
+        :meth:`margin`: use the same elementwise float64 operations,
+        express windowed means as prefix-sum differences on both paths,
+        and run stateful recurrences in the same order with the same
+        scalar ``math.*`` calls.  The kernel runs right after
+        :meth:`reset`, so it may leave behind the state
+        :meth:`end_margin` reads, as :meth:`margin` would.  The default
+        returns ``None``, which makes :meth:`evaluate_offline` fall back
+        to the per-record margin loop.
         """
         return None
 
     def _needs_end_record(self) -> bool:
-        """Whether :meth:`finish` must see the materialized last record.
+        """Whether :meth:`finish` must see the last record.
 
-        True iff the subclass overrides :meth:`end_margin`; pure
-        column-vectorized assertions then skip record materialization
-        entirely on the offline path.
+        True iff the subclass overrides :meth:`end_margin`; the offline
+        path then builds that one record from the columns, and every
+        other assertion builds none.
         """
         return type(self).end_margin is not TraceAssertion.end_margin
 
@@ -224,8 +233,8 @@ class TraceAssertion(abc.ABC):
         """Evaluate the whole trace in one shot (vectorized where possible).
 
         Equivalent to ``reset(); [step(r) for r in trace]; finish(last)``
-        but computes the margin stream as arrays via :meth:`margin_array`
-        when the subclass supports it, then extracts debounced episodes
+        but computes the margin stream via :meth:`margin_array` when the
+        subclass has a column kernel, then extracts debounced episodes
         from the run-length encoding of the bad/good signs.  Verdicts
         (episodes, margins, severities) are byte-identical to the
         per-step path.  Returns the full violation list.
@@ -238,8 +247,8 @@ class TraceAssertion(abc.ABC):
         t = cols.get("t")
         computed = self.margin_array(cols)
         if computed is None:
-            # Sequential fallback: stateful margins see records in order,
-            # exactly as the online path does.
+            # No column kernel: iterate the records in order, exactly as
+            # the online path does (builds every record of the trace).
             margins = np.empty(n, dtype=np.float64)
             applicable = np.empty(n, dtype=bool)
             for i, record in enumerate(trace):

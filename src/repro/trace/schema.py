@@ -26,6 +26,7 @@ materializes the per-record view if someone actually iterates it.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass, field, fields
 from collections.abc import Iterator, Sequence
 
@@ -241,9 +242,10 @@ class Trace:
         ``arrays`` must map every :attr:`field_names` entry to a 1-D
         array-like of equal length; dtypes are coerced to the schema's
         (float64 / bool / int64 / unicode).  The per-record view is *not*
-        built here — it materializes lazily on first record access, so a
-        caller that only needs columnar analysis (the vectorized checker,
-        the metrics layer) never pays for 40+ dataclass fields per step.
+        built here — it materializes lazily when records are iterated or
+        sliced (indexing builds only the one record), so a caller that
+        only needs columnar analysis (the vectorized checker, the metrics
+        layer) never pays for 40+ dataclass fields per step.
         """
         missing = [n for n in _FIELD_NAMES if n not in arrays]
         if missing:
@@ -297,7 +299,19 @@ class Trace:
     def __getitem__(self, index):
         if isinstance(index, slice):
             return Trace(self.meta, self._materialized()[index])
-        return self._materialized()[index]
+        if self._records is not None:
+            return self._records[index]
+        # Column-backed: build only the requested record, with the same
+        # .tolist()-exact values _materialized() would give it.
+        i = operator.index(index)
+        n = self._columns.n
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("trace index out of range")
+        cols = self._columns
+        return TraceRecord(*(cols.get(name)[i].tolist()
+                             for name in _FIELD_NAMES))
 
     @property
     def records(self) -> Sequence[TraceRecord]:

@@ -221,8 +221,11 @@ class TestColumnarBackend:
         assert len(loaded) == len(trace)
         loaded.columns()
         assert loaded._records is None
-        # First record access builds the row view on demand.
-        assert loaded[0].step == trace[0].step
+        # Indexing one record builds only that record ...
+        assert loaded[0] == trace[0]
+        assert loaded._records is None
+        # ... iterating builds the row view on demand.
+        assert [r.step for r in loaded] == [r.step for r in trace]
         assert loaded._records is not None
 
     def test_from_columns_rejects_ragged(self):

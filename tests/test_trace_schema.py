@@ -55,6 +55,54 @@ class TestTraceContainer:
         assert Trace().duration == 0.0
 
 
+class TestColumnBackedIndexing:
+    """Integer indexing a column-backed trace builds only that record."""
+
+    @staticmethod
+    def _pair():
+        def mutate(step, record):
+            return record.replace(
+                cte_true=step * 0.1 - 0.7,            # float
+                gps_fresh=step % 3 == 0,              # bool
+                supervisor_lost=step % 4,             # int
+                attack_name=f"attack-{step}",         # str
+                supervisor_mode="safe_stop" if step > 5 else "")
+
+        records = make_trace(10, mutate=mutate)
+        columns = Trace.from_columns(records.meta, {
+            name: records.columns().get(name) for name in Trace.field_names})
+        return records, columns
+
+    @pytest.mark.parametrize("index", [0, 3, 9, -1, -10, np.int64(4)])
+    def test_matches_list_indexing(self, index):
+        records, columns = self._pair()
+        got = columns[index]
+        assert got == records[index]
+        for name in ("cte_true", "gps_fresh", "supervisor_lost",
+                     "attack_name", "step", "t"):
+            value = getattr(got, name)
+            assert type(value) is type(getattr(records[index], name))
+        assert columns._records is None
+
+    @pytest.mark.parametrize("index", [10, -11, 100])
+    def test_out_of_range(self, index):
+        records, columns = self._pair()
+        with pytest.raises(IndexError):
+            records[index]
+        with pytest.raises(IndexError):
+            columns[index]
+        assert columns._records is None
+
+    def test_non_integer_index_rejected(self):
+        _, columns = self._pair()
+        with pytest.raises(TypeError):
+            columns[1.5]
+
+    def test_slice_still_materializes(self):
+        records, columns = self._pair()
+        assert list(columns[2:4]) == list(records[2:4])
+
+
 class TestColumns:
     def test_column_values(self):
         trace = make_trace(4)
