@@ -20,10 +20,14 @@ properties the rest of the repo already paid for make this practical:
   once, and an unedited probe of a grid point *is* that grid point.
 
 The search cores (:func:`ddmin_interval`, :func:`ddmin_subset`,
-:func:`bisect_intensity`) are pure functions over a ``violates``
-predicate, so they are property-tested without a simulator in the loop
-(``tests/test_counterfactual.py``).  The driver, :func:`explain`,
-composes them into a :class:`CausalReport`; the same probe machinery
+:func:`bisect_intensity`) are generators that yield each candidate and
+receive its verdict.  One driver, :func:`run_search`, runs any of them
+against a ``violates`` predicate and a budget; one enumerator,
+:func:`probe_tree`, replays them over verdict prefixes to list the
+probes they can reach, which is what the batch engine speculates on.
+Both are property-tested without a simulator in the loop
+(``tests/test_counterfactual.py``).  :func:`explain` composes the
+searches into a :class:`CausalReport`; the same probe machinery
 backs :func:`counterfactual_tiebreak` (E4's escape hatch for ambiguous
 rankings) and :func:`detect_separation_gap` (the automated half of the
 paper's E9 refinement loop: flag cause pairs no counterfactual can
@@ -62,14 +66,11 @@ from repro.sim.engine import RunResult
 __all__ = [
     "CausalReport",
     "Intervention",
-    "IntensityResult",
-    "IntervalResult",
     "ProbeBudgetExhausted",
     "ProbeEngine",
     "ProbeOutcome",
     "SeparationGap",
     "Subject",
-    "SubsetResult",
     "TiebreakResult",
     "bisect_intensity",
     "counterfactual_tiebreak",
@@ -77,10 +78,9 @@ __all__ = [
     "ddmin_subset",
     "detect_separation_gap",
     "explain",
-    "intensity_probe_tree",
-    "interval_probe_tree",
     "probe_params",
-    "subset_probe_tree",
+    "probe_tree",
+    "run_search",
 ]
 
 DEFAULT_BUDGET = 48
@@ -95,67 +95,30 @@ are considered counterfactually inseparable — the refinement-gap signal."""
 
 
 class ProbeBudgetExhausted(RuntimeError):
-    """A search hit its probe budget; the best result so far is returned
-    with ``exhausted=True`` rather than raising to the caller."""
-
-
-@dataclass(slots=True)
-class _Budget:
-    """Probe counter shared by the searches of one explanation."""
-
-    limit: int
-    used: int = 0
-
-    @property
-    def remaining(self) -> int:
-        return max(self.limit - self.used, 0)
-
-    def charge(self) -> None:
-        if self.used >= self.limit:
-            raise ProbeBudgetExhausted(
-                f"probe budget of {self.limit} exhausted")
-        self.used += 1
+    """The probe budget ran out.  :func:`run_search` throws it into a
+    search generator, which returns its best result so far;
+    :meth:`ProbeEngine.outcome` raises it past the engine's budget."""
 
 
 # ---------------------------------------------------------------------------
-# Search cores: pure functions over a `violates` predicate.
+# Search cores: generators over verdicts.
+#
+# Each core does ``verdict = yield candidate`` once per probe, in its
+# serial order, and returns its result; thrown ProbeBudgetExhausted, it
+# returns its best result so far.  Knowing nothing of budgets, predicates
+# or batching, one core serves both the driver (:func:`run_search`) and
+# the enumerator of its reachable probes (:func:`probe_tree`).
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class IntervalResult:
-    """Outcome of :func:`ddmin_interval` (integer step space)."""
-
-    lo: int
-    hi: int
-    probes: int
-    exhausted: bool
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo
-
-    @property
-    def minimal(self) -> bool:
-        """1-minimality was *verified* (the budget did not cut the search
-        short): trimming one more unit off either end no longer violates."""
-        return not self.exhausted
-
-
-def ddmin_interval(violates, n: int, budget: int = 64,
-                   prefetch=None) -> IntervalResult:
+def ddmin_interval(n: int):
     """Shrink the violating interval ``[0, n)`` to a 1-minimal sub-interval.
 
-    ``violates(lo, hi)`` must hold for ``(0, n)`` (the caller verifies it;
-    it is never re-probed here).  Zeller-style delta debugging specialised
-    to contiguous windows: greedily trim power-of-two-sized steps off the
+    Yields candidate windows ``(lo, hi)`` and returns the final
+    ``(lo, hi)``.  ``[0, n)`` must violate (the caller verifies it; it is
+    never re-probed here).  Zeller-style delta debugging specialised to
+    contiguous windows: greedily trim power-of-two-sized steps off the
     right, then the left, halving the step on failure until single-unit
     trims fail on both ends.
-
-    ``prefetch``, when given, receives each round's full candidate set —
-    the right-trim and left-trim windows this round may probe — *before*
-    any verdict is inspected, so a batch engine can simulate the round as
-    one lane group.  It charges no budget and must not affect verdicts:
-    the serial probe order below is authoritative.
 
     Guarantees (the hypothesis suite pins each):
 
@@ -163,256 +126,163 @@ def ddmin_interval(violates, n: int, budget: int = 64,
       predicate cannot over-shrink it below a violating witness;
     * the interval only ever shrinks, so non-monotone streams cannot
       loop the search;
-    * on normal exit the interval is 1-minimal;
-    * at most ``budget`` probes are issued; on exhaustion the best
-      violating interval found so far comes back with ``exhausted=True``.
+    * on normal exit the interval is 1-minimal.
     """
     if n < 1:
         raise ValueError("interval must span at least one unit")
-    budget_ = _Budget(int(budget))
     lo, hi = 0, n
-    exhausted = False
-
-    def test(a: int, b: int) -> bool:
-        budget_.charge()
-        return bool(violates(a, b))
-
     step = 1
     while step * 2 < n:
         step *= 2
     try:
         while step >= 1:
-            if prefetch is not None and hi - lo > step:
-                prefetch(((lo, hi - step), (lo + step, hi)))
-            if hi - lo > step and test(lo, hi - step):
+            if hi - lo > step and (yield lo, hi - step):
                 hi -= step
-            elif hi - lo > step and test(lo + step, hi):
+            elif hi - lo > step and (yield lo + step, hi):
                 lo += step
             else:
                 step //= 2
     except ProbeBudgetExhausted:
-        exhausted = True
-    return IntervalResult(lo=lo, hi=hi, probes=budget_.used,
-                          exhausted=exhausted)
+        pass
+    return lo, hi
 
 
-@dataclass(frozen=True, slots=True)
-class SubsetResult:
-    """Outcome of :func:`ddmin_subset`."""
-
-    kept: tuple
-    probes: int
-    exhausted: bool
-
-    @property
-    def minimal(self) -> bool:
-        return not self.exhausted
-
-
-def ddmin_subset(violates, items, budget: int = 64,
-                 prefetch=None) -> SubsetResult:
+def ddmin_subset(items):
     """1-minimal sufficient subset of ``items`` (order-preserving).
 
-    ``violates(subset)`` must hold for the full tuple.  Fast path: probe
-    each singleton — any violating singleton is immediately 1-minimal
-    (the common case for independent attack channels).  Otherwise greedy
-    leave-one-out elimination until no single removal still violates.
-    Same budget contract as :func:`ddmin_interval`; ``prefetch``
-    (optional, budget-free, verdict-neutral) receives each round's full
-    candidate set — all singletons, then each sweep's leave-one-out
-    complements — before any verdict is inspected.
+    Yields candidate subsets (tuples) and returns the kept tuple.  The
+    full tuple must violate.  Fast path: probe each singleton — any
+    violating singleton is immediately 1-minimal (the common case for
+    independent attack channels).  Otherwise greedy leave-one-out
+    elimination until no single removal still violates.
     """
     items = tuple(items)
     if not items:
         raise ValueError("subset minimization needs at least one item")
-    budget_ = _Budget(int(budget))
-    kept = list(items)
-    exhausted = False
-
-    def test(subset) -> bool:
-        budget_.charge()
-        return bool(violates(tuple(subset)))
-
+    kept = items
     try:
         if len(kept) > 1:
-            if prefetch is not None:
-                prefetch(tuple((item,) for item in items))
             for item in items:
-                if test([item]):
-                    kept = [item]
+                if (yield (item,)):
+                    kept = (item,)
                     break
         changed = len(kept) > 1
         while changed and len(kept) > 1:
             changed = False
-            if prefetch is not None:
-                prefetch(tuple(
-                    tuple(x for x in kept if x != item) for item in kept))
-            for item in list(kept):
-                candidate = [x for x in kept if x != item]
-                if test(candidate):
+            for item in kept:
+                candidate = tuple(x for x in kept if x != item)
+                if (yield candidate):
                     kept = candidate
                     changed = True
                     break
     except ProbeBudgetExhausted:
-        exhausted = True
-    return SubsetResult(kept=tuple(kept), probes=budget_.used,
-                        exhausted=exhausted)
+        pass
+    return kept
 
 
-@dataclass(frozen=True, slots=True)
-class IntensityResult:
-    """Outcome of :func:`bisect_intensity`."""
-
-    minimal: float
-    """Smallest probed magnitude that still violates."""
-    lower: float
-    """Largest probed magnitude that did not (the boundary sits between)."""
-    probes: int
-    exhausted: bool
-
-    @property
-    def boundary_width(self) -> float:
-        return self.minimal - self.lower
-
-
-def bisect_intensity(violates, hi: float, *, rel_resolution: float = 1 / 16,
-                     budget: int = 64, prefetch=None) -> IntensityResult:
+def bisect_intensity(hi: float, rel_resolution: float = 1 / 16):
     """1-minimize the magnitude knob toward the verdict boundary.
 
-    ``violates(hi)`` must hold.  Standard bisection keeping the upper end
-    violating, down to a boundary bracket of ``hi * rel_resolution``.
-    Magnitude-free interventions (freeze, blinding) simply converge to a
-    near-zero minimal intensity — "violates at any magnitude".
-
-    ``prefetch`` (optional, budget-free, verdict-neutral) receives each
-    round's speculative candidate set before the verdict is inspected:
-    the midpoint plus *both* next-level midpoints — ``0.5*(lo+mid)`` if
-    the midpoint violates, ``0.5*(mid+hi)`` if it does not — exactly the
-    float expressions the serial recursion would evaluate, so a batch
-    engine can run the round one level deep without changing the
-    returned boundary.
+    Yields candidate magnitudes and returns ``(minimal, lower)``: the
+    smallest probed magnitude that still violates and the largest that
+    did not (the boundary sits between).  ``hi`` must violate.  Standard
+    bisection keeping the upper end violating, down to a boundary bracket
+    of ``hi * rel_resolution``.  Magnitude-free interventions (freeze,
+    blinding) simply converge to a near-zero minimal intensity —
+    "violates at any magnitude".
     """
     if hi <= 0:
         raise ValueError("intensity must be positive")
-    budget_ = _Budget(int(budget))
     lo = 0.0
     resolution = hi * float(rel_resolution)
-    exhausted = False
     try:
         while hi - lo > resolution:
-            if prefetch is not None:
-                mid = 0.5 * (lo + hi)
-                if 0.5 * (hi - lo) > resolution:
-                    prefetch((mid, 0.5 * (lo + mid), 0.5 * (mid + hi)))
-                else:
-                    # Final round: the next-level midpoints sit inside a
-                    # bracket the loop will never re-enter — offering
-                    # them would only buy wasted lanes.
-                    prefetch((mid,))
-            budget_.charge()
             mid = 0.5 * (lo + hi)
-            if violates(mid):
+            if (yield mid):
                 hi = mid
             else:
                 lo = mid
     except ProbeBudgetExhausted:
-        exhausted = True
-    return IntensityResult(minimal=hi, lower=lo, probes=budget_.used,
-                           exhausted=exhausted)
+        pass
+    return hi, lo
 
 
-# ---------------------------------------------------------------------------
-# Probe-tree enumeration: the searches' reachable probe sets, up front.
-#
-# Every probe the three searches can possibly issue is a pure function of
-# the *input* configuration — the verdicts only select which ones get
-# consumed.  Enumerating the reachable sets lets `explain()` push the
-# whole probe tree through the batch engine as one speculative lane
-# group before the serial searches start; the serial order then finds
-# every probe already cached.  Unconsumed lanes are `speculative_wasted`.
-# ---------------------------------------------------------------------------
+TREE_LIMIT = 16
+"""Most candidates one :func:`probe_tree` offers the batch engine — per
+search in round zero, and per miss-triggered round after it."""
 
-def interval_probe_tree(n: int, limit: int = 64) -> tuple[tuple[int, int], ...]:
-    """Every window :func:`ddmin_interval` can probe over ``[0, n)``.
 
-    Breadth-first over the search's reachable states ``(lo, hi, step)``
-    across *all* verdict branches (right trim, left trim, step halving),
-    collecting the distinct candidate windows shallow-first — the probes
-    the real search issues earliest come first, so a lane cap drops only
-    the deep tail.
+def run_search(make_search, violates, budget: int, prefetch=None):
+    """Drive the search ``make_search()`` against ``violates``.
+
+    The only per-search probe counter: each candidate the search yields
+    is one ``violates(candidate)`` call until ``budget`` calls are spent,
+    when :class:`ProbeBudgetExhausted` is thrown into the search.  Returns
+    ``(result, probes, exhausted)``.  The explanation-wide budget, which
+    also covers the probes outside any search, stays with
+    :class:`ProbeEngine`; :func:`explain` passes its ``remaining``.
+
+    ``prefetch``, when given, receives candidate sets before their
+    verdicts are needed, so a batch engine can simulate them as one lane
+    group: whenever the next candidate is in no tree offered so far, the
+    :func:`probe_tree` reachable from the verdicts so far.  It charges no
+    budget and must not affect verdicts: the serial order is
+    authoritative.
     """
-    if n < 1:
-        return ()
-    step0 = 1
-    while step0 * 2 < n:
-        step0 *= 2
-    windows: list[tuple[int, int]] = []
-    seen_windows: set[tuple[int, int]] = set()
-    seen_states = {(0, n, step0)}
-    frontier = [(0, n, step0)]
-    while frontier and len(windows) < limit:
-        nxt = []
-        for lo, hi, step in frontier:
-            if hi - lo > step:
-                for cand in ((lo, hi - step), (lo + step, hi)):
-                    if cand not in seen_windows:
-                        seen_windows.add(cand)
-                        windows.append(cand)
-                succs = ((lo, hi - step, step), (lo + step, hi, step),
-                         (lo, hi, step // 2))
-            else:
-                succs = ((lo, hi, step // 2),)
-            for state in succs:
-                if state[2] >= 1 and state not in seen_states:
-                    seen_states.add(state)
-                    nxt.append(state)
-        frontier = nxt
-    return tuple(windows[:limit])
+    search = make_search()
+    verdicts: list[bool] = []
+    offered: set = set()
+    exhausted = False
+    message = None
+    while True:
+        try:
+            candidate = (search.throw(message) if exhausted
+                         else search.send(message))
+        except StopIteration as stop:
+            return stop.value, len(verdicts), exhausted
+        if len(verdicts) >= budget:
+            exhausted = True
+            message = ProbeBudgetExhausted(
+                f"probe budget of {budget} exhausted")
+            continue
+        if prefetch is not None and candidate not in offered:
+            tree = probe_tree(make_search, TREE_LIMIT,
+                              prefix=tuple(verdicts))
+            prefetch(tree)
+            offered.update(tree)
+        message = bool(violates(candidate))
+        verdicts.append(message)
 
 
-def subset_probe_tree(items, limit: int = 64) -> tuple[tuple, ...]:
-    """Every proper non-empty ordered subset :func:`ddmin_subset` can
-    probe: singletons first (the fast path), then leave-one-out-reachable
-    subsets by descending size.  Empty beyond 6 items (the enumeration
-    would dwarf the search it speculates for)."""
-    items = tuple(items)
-    k = len(items)
-    if k <= 1 or k > 6:
-        return ()
-    import itertools
-    out: list[tuple] = [(item,) for item in items]
-    for size in range(k - 1, 1, -1):
-        out.extend(itertools.combinations(items, size))
-    return tuple(out[:limit])
+def probe_tree(make_search, limit, prefix=()) -> tuple:
+    """Distinct candidates a search can probe after the verdicts ``prefix``.
 
-
-def intensity_probe_tree(hi: float, rel_resolution: float = 1 / 16,
-                         limit: int = 64) -> tuple[float, ...]:
-    """Every midpoint :func:`bisect_intensity` can probe from ``hi``.
-
-    The bisection's full binary bracket tree, each midpoint computed with
-    the exact float expression (``0.5 * (lo + hi)`` along the bracket
-    path) the serial search would use — bitwise-identical probe
-    intensities, so prefetched lanes alias the serial probes' cache keys.
+    Breadth-first over verdict sequences extending ``prefix``, replaying
+    a fresh ``make_search()`` for each, collecting distinct candidates
+    shallowest first (a violating branch before its sibling) until
+    ``limit`` are found or every branch has terminated.  A candidate is
+    a pure function of the verdicts before it, so each entry is, bit for
+    bit, the probe the search issues on that branch: prefetched lanes
+    alias the serial probes' cache keys.
     """
-    if hi <= 0:
-        return ()
-    resolution = float(hi) * float(rel_resolution)
-    mids: list[float] = []
-    seen: set[float] = set()
-    frontier = [(0.0, float(hi))]
-    while frontier and len(mids) < limit:
-        nxt = []
-        for lo, h in frontier:
-            if h - lo > resolution:
-                mid = 0.5 * (lo + h)
-                if mid not in seen:
-                    seen.add(mid)
-                    mids.append(mid)
-                nxt.append((lo, mid))
-                nxt.append((mid, h))
-        frontier = nxt
-    return tuple(mids[:limit])
+    found: dict = {}
+    frontier = [tuple(prefix)]
+    while frontier:
+        deeper = []
+        for verdicts in frontier:
+            search = make_search()
+            try:
+                candidate = next(search)
+                for verdict in verdicts:
+                    candidate = search.send(verdict)
+            except StopIteration:
+                continue
+            found.setdefault(candidate, None)
+            if len(found) >= limit:
+                return tuple(found)
+            deeper += [verdicts + (True,), verdicts + (False,)]
+        frontier = deeper
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +411,8 @@ class ProbeEngine:
                  sim_engine: str | None = None):
         from repro.experiments.runner import choose_sim_engine, scored_store
         self.subject = subject
-        self.budget = _Budget(int(budget))
+        self.budget = int(budget)
+        self.probes = 0
         # Speculative prefetch always offers >= 2 candidate lanes, so the
         # auto choice here is batch-unless-opted-out (ADASSURE_SIM=serial).
         self.sim_engine, engine_reason = choose_sim_engine(sim_engine, 2)
@@ -568,11 +439,7 @@ class ProbeEngine:
 
     @property
     def remaining(self) -> int:
-        return self.budget.remaining
-
-    @property
-    def probes(self) -> int:
-        return self.budget.used
+        return max(self.budget - self.probes, 0)
 
     # -- execution ------------------------------------------------------
     def _resolve_or_run(self, intervention: Intervention):
@@ -640,7 +507,10 @@ class ProbeEngine:
     def outcome(self, intervention: Intervention) -> ProbeOutcome:
         """Run one probe (budget-charged) and score it against the
         baseline violation signature."""
-        self.budget.charge()
+        if self.probes >= self.budget:
+            raise ProbeBudgetExhausted(
+                f"probe budget of {self.budget} exhausted")
+        self.probes += 1
         run, source = self._resolve_or_run(intervention)
         report = run.report
         fired = tuple(report.fired_ids)
@@ -755,6 +625,14 @@ def _propose_separators(cause_a: str, cause_b: str,
     return (f"new: {chan_a}-vs-{chan_b} cross-channel consistency",)
 
 
+def _hypotheses(candidates, base: Intervention) -> dict[str, Intervention]:
+    """Cause -> the probe "this attack alone, at ``base``'s window and
+    magnitude", for each candidate that is an attack class."""
+    return {cause: Intervention(attacks=(cause,), intensity=base.intensity,
+                                onset=base.onset, end=base.end)
+            for cause in candidates if cause in ATTACK_CLASSES}
+
+
 def detect_separation_gap(engine: ProbeEngine, observed: dict[str, float],
                           candidates, base: Intervention,
                           kb: KnowledgeBase | None = None,
@@ -770,12 +648,8 @@ def detect_separation_gap(engine: ProbeEngine, observed: dict[str, float],
     :data:`GAP_SEPARATION` (else ``None``).
     """
     kb = kb or default_knowledge_base()
-    candidates = [c for c in candidates if c in ATTACK_CLASSES]
-    hypotheses = {
-        cause: Intervention(attacks=(cause,), intensity=base.intensity,
-                            onset=base.onset, end=base.end)
-        for cause in candidates
-    }
+    hypotheses = _hypotheses(candidates, base)
+    candidates = list(hypotheses)
     engine.prefetch(hypotheses.values())
     signatures: dict[str, dict[str, float]] = {}
     distances: dict[str, float] = {}
@@ -999,7 +873,21 @@ def explain(
     NIS-gated estimator, an injected controller defect, the degradation
     supervisor) and ``end`` bounds the injection window, so every run a
     cache key resolves to (:func:`resolve_cache_key`) can be explained.
+
+    Raises ``ValueError`` for a ``budget`` below two probes, a
+    non-finite or non-positive ``resolution`` or a non-positive
+    ``intensity`` (the magnitude search bisects ``(0, intensity]``).
     """
+    if budget < 2:
+        raise ValueError(
+            f"budget must be at least 2 probes (the run and its clean "
+            f"counterfactual), got {budget}")
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(
+            f"resolution must be a positive number of seconds, "
+            f"got {resolution}")
+    if not intensity > 0:
+        raise ValueError(f"intensity must be positive, got {intensity}")
     subject = Subject(scenario, controller, seed, duration, gate=gate,
                       defect=defect, defect_args=defect_args or (),
                       supervised=supervised)
@@ -1018,40 +906,49 @@ def explain(
             # The last cell absorbs the sub-resolution remainder.
             return end_eff if i >= n else original.onset + i * resolution
 
+        # The search axes that apply: a search generator plus the edit
+        # that turns one of its candidates into a probe.
+        parts = original.channels
+        window = channels = None
+        if span > 0:
+            window = (lambda: ddmin_interval(n),
+                      lambda w: original.with_window(window_time(w[0]),
+                                                     window_time(w[1])))
+        if len(parts) > 1:
+            channels = (lambda: ddmin_subset(parts), original.with_channels)
+        magnitude = (lambda: bisect_intensity(original.intensity),
+                     original.with_intensity)
+        axes = [axis for axis in (window, channels, magnitude) if axis]
+
+        def search(make_search, edit):
+            return run_search(
+                make_search, lambda c: engine.violates(edit(c)),
+                engine.remaining,
+                prefetch=lambda cands: engine.prefetch(map(edit, cands)))
+
         # Round zero: push the baseline, the clean counterfactual and
-        # the searches' reachable probe trees through the batch engine
-        # as one speculative lane group — before the first verdict is
-        # even inspected.  Every candidate is a pure function of the
-        # inputs — the verdicts only choose which get consumed — so the
-        # serial searches below then find (nearly) everything already
-        # simulated and the explanation costs one batch instead of N
-        # serial simulations.  Serial order, budget and verdicts are
-        # untouched; unconsumed lanes show up as `speculative_wasted`
-        # in --stats and are never checked or committed (the marginal
-        # cost of a wasted lane is its slice of the lockstep batch).
-        # The interval tree is capped shallow here: the per-round
-        # prefetch hooks below re-offer exactly the candidates each
-        # ddmin round can reach, so the deep tail is never lost, just
-        # deferred.  A no-op on the serial engine or when the original
-        # intervention is empty (nothing to explain, nothing to batch).
-        # A store holding a prior explanation of this run also turns
-        # speculation off for the whole explanation: the searches below
-        # replay that pass's consumed-probe sequence from cache, and
-        # prefetch would only re-simulate its wasted lanes — held raw
-        # and never committed, by design.
-        windows = (interval_probe_tree(n, limit=16) if span > 0 else ())
-        searches = (
-            [original.with_window(window_time(a), window_time(b))
-             for a, b in windows]
-            + [original.with_channels(subset)
-               for subset in subset_probe_tree(original.channels)]
-            + [original.with_intensity(mid)
-               for mid in intensity_probe_tree(original.intensity)])
-        if not original.empty and _explained_before(
-                engine, subject, original, searches[:1]):
-            engine.speculate = False
-        if not original.empty and engine.speculate:
-            engine.prefetch([original, original.removed()] + searches)
+        # each search's probe tree through the batch engine as one
+        # speculative lane group — before the first verdict is even
+        # inspected.  Every candidate is a pure function of the verdicts
+        # before it, so the serial searches below then find (nearly)
+        # everything already simulated; a search whose next candidate
+        # lies outside the trees offered so far batches its own subtree
+        # (run_search).  Serial order, budget and verdicts are
+        # untouched; unconsumed lanes show up as `speculative_wasted` in
+        # --stats and are never checked or committed.  A no-op on the
+        # serial engine or when the original intervention is empty
+        # (nothing to explain, nothing to batch).  A store holding a
+        # prior explanation of this run also turns speculation off for
+        # the whole explanation: the searches below replay that pass's
+        # consumed-probe sequence from cache, and prefetch would only
+        # re-simulate its wasted lanes — held raw and never committed,
+        # by design.
+        if not original.empty:
+            trees = [edit(c) for make_search, edit in axes
+                     for c in probe_tree(make_search, TREE_LIMIT)]
+            if _explained_before(engine, subject, original, trees[:1]):
+                engine.speculate = False
+            engine.prefetch([original, original.removed()] + trees)
 
         base = engine.outcome(original)
         report.fired = base.fired
@@ -1087,128 +984,79 @@ def explain(
             return report
 
         # (b) window ddmin over [onset, end_eff) at `resolution` steps.
-        window_res = None
-        if span > 0 and engine.remaining > 0:
-
-            def window_violates(a: int, b: int) -> bool:
-                return engine.violates(
-                    original.with_window(window_time(a), window_time(b)))
-
-            def window_prefetch(cands) -> None:
-                engine.prefetch(
-                    original.with_window(window_time(a), window_time(b))
-                    for a, b in cands)
-
-            window_res = ddmin_interval(window_violates, n, budget=10 ** 9,
-                                        prefetch=window_prefetch)
+        if window and engine.remaining > 0:
+            (lo, hi), probes, exhausted = search(*window)
             report.window = WindowSummary(
-                start=window_time(window_res.lo),
-                end=window_time(window_res.hi),
+                start=window_time(lo),
+                end=window_time(hi),
                 original_start=original.onset,
                 original_end=end_eff,
                 resolution=resolution,
-                probes=window_res.probes,
-                minimal=window_res.minimal,
+                probes=probes,
+                minimal=not exhausted,
             )
 
         # (c) channel ablation for composed interventions.
-        channel_res = None
-        parts = original.channels
-        if len(parts) > 1 and engine.remaining > 0:
-
-            def subset_violates(subset) -> bool:
-                return engine.violates(original.with_channels(subset))
-
-            def subset_prefetch(cands) -> None:
-                engine.prefetch(original.with_channels(subset)
-                                for subset in cands)
-
-            channel_res = ddmin_subset(subset_violates, parts, budget=10 ** 9,
-                                       prefetch=subset_prefetch)
+        if channels and engine.remaining > 0:
+            kept, probes, exhausted = search(*channels)
             report.channels = ChannelSummary(
-                kept=channel_res.kept,
-                dropped=tuple(p for p in parts if p not in channel_res.kept),
-                probes=channel_res.probes,
-                minimal=channel_res.minimal,
+                kept=kept,
+                dropped=tuple(p for p in parts if p not in kept),
+                probes=probes,
+                minimal=not exhausted,
             )
 
         # (d) magnitude 1-minimization toward the verdict boundary.
-        magnitude_res = None
         if engine.remaining > 0:
-
-            def intensity_violates(x: float) -> bool:
-                return engine.violates(original.with_intensity(x))
-
-            def intensity_prefetch(mids) -> None:
-                engine.prefetch(original.with_intensity(m) for m in mids)
-
-            magnitude_res = bisect_intensity(
-                intensity_violates, original.intensity, budget=10 ** 9,
-                prefetch=intensity_prefetch)
+            (least, lower), probes, exhausted = search(*magnitude)
             report.magnitude = MagnitudeSummary(
-                minimal=magnitude_res.minimal,
-                lower=magnitude_res.lower,
+                minimal=least,
+                lower=lower,
                 original=original.intensity,
-                probes=magnitude_res.probes,
-                exhausted=magnitude_res.exhausted,
+                probes=probes,
+                exhausted=exhausted,
             )
 
-        # Compose the minimal intervention and verify the axes compose.
-        minimal = original
-        if channel_res is not None:
-            minimal = minimal.with_channels(channel_res.kept)
-        if window_res is not None and report.window is not None:
-            minimal = minimal.with_window(report.window.start,
-                                          report.window.end)
-        if magnitude_res is not None and not magnitude_res.exhausted:
-            minimal = minimal.with_intensity(magnitude_res.minimal)
+        # Compose the minimal intervention; the window-only edit is the
+        # fallback should the axes not compose.
+        fallback = original
+        if report.window is not None:
+            fallback = original.with_window(report.window.start,
+                                            report.window.end)
+        minimal = fallback
+        if report.channels is not None:
+            minimal = minimal.with_channels(report.channels.kept)
+        if report.magnitude is not None and not report.magnitude.exhausted:
+            minimal = minimal.with_intensity(report.magnitude.minimal)
         report.minimal = minimal
 
-        # Tail round: the two probe sites the round-zero trees cannot
-        # enumerate — the composed-minimal verification (plus its
-        # window-only fallback) and the separation-gap hypotheses —
-        # are exactly knowable here, so batch them as one last lane
-        # group before the serial code below consumes them.  The
-        # hypothesis construction mirrors detect_separation_gap.
+        # Tail round: the probes that depend on the searches' results —
+        # the composed-minimal verification, its window-only fallback and
+        # the separation-gap hypotheses — batch as one last lane group
+        # before the serial code below consumes the same objects.
+        candidates = [d.cause for d in report.diagnosis.ranking[:2]]
         tail: list[Intervention] = []
         if minimal != original and engine.remaining > 0:
-            tail.append(minimal)
-            if window_res is not None and report.window is not None:
-                fb = original.with_window(report.window.start,
-                                          report.window.end)
-                if fb != original:
-                    tail.append(fb)
-        if (report.diagnosis is not None and report.diagnosis.ambiguous
-                and engine.remaining >= 2):
-            tail.extend(
-                Intervention(attacks=(c,), intensity=original.intensity,
-                             onset=original.onset, end=original.end)
-                for c in (d.cause for d in report.diagnosis.ranking[:2])
-                if c in ATTACK_CLASSES)
+            tail += [minimal, fallback]
+        if report.diagnosis.ambiguous and engine.remaining >= 2:
+            tail += _hypotheses(candidates, original).values()
         if tail:
             engine.prefetch(tail)
 
         if minimal == original:
             report.minimal_verified = True
         elif engine.remaining > 0:
-            verify = engine.outcome(minimal)
-            report.minimal_verified = verify.violated
-            if not verify.violated:
+            report.minimal_verified = engine.violates(minimal)
+            if not report.minimal_verified:
                 # Non-monotone interaction: the per-axis minima do not
                 # compose.  Fall back to the least aggressive composition
                 # (window-only) — still a true minimal-window statement.
-                fallback = original
-                if window_res is not None and report.window is not None:
-                    fallback = original.with_window(report.window.start,
-                                                    report.window.end)
                 report.minimal = fallback
                 if engine.remaining > 0 and fallback != original:
                     report.minimal_verified = engine.violates(fallback)
 
         # Hypothesis testing when the diagnosis stays ambiguous.
-        if (report.diagnosis is not None and report.diagnosis.ambiguous
-                and engine.remaining >= 2):
-            candidates = [d.cause for d in report.diagnosis.ranking[:2]]
+        if report.diagnosis.ambiguous and engine.remaining >= 2:
             _, distances, gap = detect_separation_gap(
                 engine, base.evidence, candidates, original, kb=kb)
             if distances:

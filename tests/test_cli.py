@@ -104,6 +104,32 @@ class TestCommands:
         assert "calibration over 1 nominal trace" in out
 
 
+class TestExplainInputs:
+    """Bad ``explain`` inputs are one ``error:`` line and exit code 2,
+    rejected before anything is simulated."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--resolution", "0"],
+        ["--resolution", "-1"],
+        ["--resolution", "nan"],
+        ["--resolution", "inf"],
+        ["--budget", "0"],
+        ["--budget", "1"],
+        ["--intensity", "0"],
+        ["--intensity", "-1"],
+    ], ids=["resolution-0", "resolution-negative", "resolution-nan",
+            "resolution-inf", "budget-0", "budget-1", "intensity-0",
+            "intensity-negative"])
+    def test_rejected(self, flags, capsys):
+        code = main(["explain", "--scenario", "straight",
+                     "--controller", "pure_pursuit", "--attack", "gps_bias",
+                     *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flags[0][2:]} must be")
+        assert err.count("\n") == 1  # no traceback
+
+
 class TestWorkerCommand:
     @pytest.fixture()
     def fresh_cache(self, tmp_path, monkeypatch):

@@ -1,9 +1,9 @@
 """Unit + property tests for the counterfactual search cores.
 
-The delta-debugging cores are pure functions over a ``violates``
-predicate, so hypothesis can drive them with *arbitrary* predicates —
-including adversarially non-monotone ones — without a simulator in the
-loop.  Pinned guarantees:
+The delta-debugging cores are generators over verdicts, driven by
+:func:`run_search` against a ``violates`` predicate, so hypothesis can
+drive them with *arbitrary* predicates — including adversarially
+non-monotone ones — without a simulator in the loop.  Pinned guarantees:
 
 * ``ddmin_interval``: the result always violates, is 1-minimal on
   normal exit, never loops, and respects the probe budget even when the
@@ -11,6 +11,9 @@ loop.  Pinned guarantees:
 * ``ddmin_subset``: minimal sufficient subsets, singleton fast path,
   order preservation, budget contract;
 * ``bisect_intensity``: the boundary bracket, resolution contract;
+* ``probe_tree``: uncapped, it holds every candidate a search probes
+  under any verdict stream — the batch engine's speculation can never
+  drift from the search it speculates for;
 * the key regression: an *edited* intervention can never alias the
   original cache entry or any sibling edit — every RunSpec field rides
   in the cache key, specs round-trip through their ledger form, and an
@@ -32,6 +35,8 @@ from repro.experiments.counterfactual import (
     ddmin_interval,
     ddmin_subset,
     probe_params,
+    probe_tree,
+    run_search,
 )
 from repro.experiments.spec import RunSpec, build_grid
 
@@ -48,10 +53,16 @@ class CountingPredicate:
         self.n = n
         self.calls = 0
 
-    def __call__(self, lo, hi):
+    def __call__(self, window):
+        lo, hi = window
         self.calls += 1
         assert 0 <= lo < hi <= self.n, "probe outside the original window"
         return self.fn(lo, hi)
+
+
+def interval(pred, n, budget):
+    """``((lo, hi), probes, exhausted)`` of ddmin over ``[0, n)``."""
+    return run_search(lambda: ddmin_interval(n), pred, budget)
 
 
 @st.composite
@@ -70,14 +81,14 @@ def test_interval_monotone_finds_exact_core(case):
     recover the core exactly, and it is 1-minimal."""
     n, a, b = case
     pred = CountingPredicate(lambda lo, hi: lo <= a and hi >= b, n)
-    res = ddmin_interval(pred, n, budget=10_000)
-    assert not res.exhausted
-    assert (res.lo, res.hi) == (a, b)
-    assert res.probes == pred.calls
+    (lo, hi), probes, exhausted = interval(pred, n, 10_000)
+    assert not exhausted
+    assert (lo, hi) == (a, b)
+    assert probes == pred.calls
     # 1-minimality, re-checked from outside the search:
-    if res.size > 1:
-        assert not pred.fn(res.lo + 1, res.hi)
-        assert not pred.fn(res.lo, res.hi - 1)
+    if hi - lo > 1:
+        assert not pred.fn(lo + 1, hi)
+        assert not pred.fn(lo, hi - 1)
 
 
 @given(violating_windows(), st.integers(min_value=0, max_value=2**31))
@@ -95,14 +106,14 @@ def test_interval_nonmonotone_never_overshrinks_or_loops(case, salt):
         return bool((lo * 2654435761 ^ hi * 40503 ^ salt) & 4)
 
     pred = CountingPredicate(chaotic, n)
-    res = ddmin_interval(pred, n, budget=10_000)
-    assert 0 <= res.lo < res.hi <= n
+    (lo, hi), probes, exhausted = interval(pred, n, 10_000)
+    assert 0 <= lo < hi <= n
     # Whatever came back was *witnessed* violating (full window counts).
-    assert chaotic(res.lo, res.hi)
-    assert res.probes <= 10_000
-    if not res.exhausted and res.size > 1:
-        assert not chaotic(res.lo + 1, res.hi)
-        assert not chaotic(res.lo, res.hi - 1)
+    assert chaotic(lo, hi)
+    assert probes <= 10_000
+    if not exhausted and hi - lo > 1:
+        assert not chaotic(lo + 1, hi)
+        assert not chaotic(lo, hi - 1)
 
 
 @given(violating_windows(), st.integers(min_value=1, max_value=6))
@@ -112,58 +123,58 @@ def test_interval_budget_contract(case, budget):
     the partial result is still a violating window."""
     n, a, b = case
     pred = CountingPredicate(lambda lo, hi: lo <= a and hi >= b, n)
-    res = ddmin_interval(pred, n, budget=budget)
+    (lo, hi), probes, exhausted = interval(pred, n, budget)
     assert pred.calls <= budget
-    assert res.probes == pred.calls
-    assert res.lo <= a and res.hi >= b  # never shrank past the core
-    if res.exhausted:
-        assert not res.minimal
+    assert probes == pred.calls
+    assert lo <= a and hi >= b  # never shrank past the core
+    if exhausted:
+        assert probes == budget  # only a spent budget stops a search
 
 
 def test_interval_rejects_empty_window():
     with pytest.raises(ValueError):
-        ddmin_interval(lambda lo, hi: True, 0)
+        interval(lambda w: True, 0, 8)
 
 
 def test_interval_single_unit_is_trivially_minimal():
-    res = ddmin_interval(lambda lo, hi: True, 1, budget=8)
-    assert (res.lo, res.hi) == (0, 1)
-    assert res.probes == 0
-    assert res.minimal
+    assert interval(lambda w: True, 1, 8) == ((0, 1), 0, False)
 
 
 def test_interval_always_violating_converges_to_one_unit():
-    res = ddmin_interval(lambda lo, hi: True, 64, budget=10_000)
-    assert res.size == 1
-    assert res.minimal
+    (lo, hi), _, exhausted = interval(lambda w: True, 64, 10_000)
+    assert hi - lo == 1
+    assert not exhausted
 
 
 # ---------------------------------------------------------------------------
 # ddmin_subset
 # ---------------------------------------------------------------------------
 
+def subset(violates, items, budget):
+    """``(kept, probes, exhausted)`` of ddmin over ``items``."""
+    return run_search(lambda: ddmin_subset(items), violates, budget)
+
+
 def test_subset_singleton_fast_path():
     calls = []
 
-    def violates(subset):
-        calls.append(subset)
-        return subset == ("x",)
+    def violates(candidate):
+        calls.append(candidate)
+        return candidate == ("x",)
 
-    res = ddmin_subset(violates, ("a", "x", "b"), budget=64)
-    assert res.kept == ("x",)
-    assert res.minimal
     # Fast path: found at the second singleton probe, no leave-one-out.
-    assert res.probes == 2
+    assert subset(violates, ("a", "x", "b"), 64) == (("x",), 2, False)
+    assert calls == [("a",), ("x",)]
 
 
 def test_subset_pairwise_minimum_preserves_order():
     # Violation needs both "a" and "c"; no singleton suffices.
-    def violates(subset):
-        return "a" in subset and "c" in subset
+    def violates(candidate):
+        return "a" in candidate and "c" in candidate
 
-    res = ddmin_subset(violates, ("a", "b", "c", "d"), budget=64)
-    assert res.kept == ("a", "c")
-    assert res.minimal
+    kept, _, exhausted = subset(violates, ("a", "b", "c", "d"), 64)
+    assert kept == ("a", "c")
+    assert not exhausted
 
 
 @given(st.integers(min_value=1, max_value=8), st.data())
@@ -173,27 +184,28 @@ def test_subset_result_always_violates(size, data):
     core = frozenset(data.draw(
         st.sets(st.sampled_from(items), min_size=1, max_size=size)))
 
-    def violates(subset):
-        return core <= set(subset)
+    def violates(candidate):
+        return core <= set(candidate)
 
-    res = ddmin_subset(violates, items, budget=10_000)
-    assert violates(res.kept)
-    assert set(res.kept) == core  # monotone case: exactly the core
-    assert tuple(x for x in items if x in core) == res.kept  # order kept
+    kept, _, _ = subset(violates, items, 10_000)
+    assert violates(kept)
+    assert set(kept) == core  # monotone case: exactly the core
+    assert tuple(x for x in items if x in core) == kept  # order kept
 
 
 def test_subset_budget_exhaustion_returns_violating_superset():
-    def violates(subset):
-        return "a" in subset and "e" in subset
+    def violates(candidate):
+        return "a" in candidate and "e" in candidate
 
-    res = ddmin_subset(violates, ("a", "b", "c", "d", "e"), budget=3)
-    assert res.exhausted
-    assert violates(res.kept)
+    kept, probes, exhausted = subset(violates, ("a", "b", "c", "d", "e"), 3)
+    assert exhausted
+    assert probes == 3
+    assert violates(kept)
 
 
 def test_subset_rejects_empty():
     with pytest.raises(ValueError):
-        ddmin_subset(lambda s: True, ())
+        subset(lambda s: True, (), 8)
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +213,18 @@ def test_subset_rejects_empty():
 # ---------------------------------------------------------------------------
 
 def test_bisect_brackets_threshold():
-    res = bisect_intensity(lambda x: x >= 0.3, 1.0, rel_resolution=1 / 16,
-                           budget=64)
-    assert not res.exhausted
-    assert res.lower < 0.3 <= res.minimal
-    assert res.boundary_width <= 1.0 / 16 + 1e-12
+    (least, lower), _, exhausted = run_search(
+        lambda: bisect_intensity(1.0, rel_resolution=1 / 16),
+        lambda x: x >= 0.3, 64)
+    assert not exhausted
+    assert lower < 0.3 <= least
+    assert least - lower <= 1.0 / 16 + 1e-12
 
 
 def test_bisect_magnitude_free_converges_to_zero():
-    res = bisect_intensity(lambda x: True, 1.0, budget=64)
-    assert res.minimal <= 1.0 / 16 + 1e-12
+    (least, _), _, _ = run_search(lambda: bisect_intensity(1.0),
+                                  lambda x: True, 64)
+    assert least <= 1.0 / 16 + 1e-12
 
 
 def test_bisect_budget_contract():
@@ -220,15 +234,64 @@ def test_bisect_budget_contract():
         calls.append(x)
         return x >= 0.3
 
-    res = bisect_intensity(violates, 1.0, rel_resolution=1e-6, budget=5)
-    assert res.exhausted
-    assert len(calls) == 5
-    assert res.minimal >= 0.3  # upper end stayed violating
+    (least, _), probes, exhausted = run_search(
+        lambda: bisect_intensity(1.0, rel_resolution=1e-6), violates, 5)
+    assert exhausted
+    assert len(calls) == probes == 5
+    assert least >= 0.3  # upper end stayed violating
 
 
 def test_bisect_rejects_nonpositive():
     with pytest.raises(ValueError):
-        bisect_intensity(lambda x: True, 0.0)
+        run_search(lambda: bisect_intensity(0.0), lambda x: True, 8)
+
+
+# ---------------------------------------------------------------------------
+# probe_tree: the uncapped tree covers every search, every verdict stream
+# ---------------------------------------------------------------------------
+
+SEARCHES = {
+    "interval": st.integers(1, 10).map(
+        lambda n: lambda: ddmin_interval(n)),
+    "subset": st.integers(1, 5).map(
+        lambda k: lambda: ddmin_subset(range(k))),
+    "intensity": st.tuples(
+        st.floats(0.01, 64.0, allow_nan=False),
+        st.sampled_from((1 / 4, 1 / 16, 1 / 64))).map(
+        lambda a: lambda: bisect_intensity(*a)),
+}
+
+
+@given(st.sampled_from(sorted(SEARCHES)).flatmap(lambda k: SEARCHES[k]),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_probe_tree_covers_every_probe(make_search, data):
+    """Any verdict stream — even one contradicting itself on a repeated
+    candidate — only ever probes candidates in the uncapped tree."""
+    probed = []
+
+    def violates(candidate):
+        probed.append(candidate)
+        return data.draw(st.booleans())
+
+    run_search(make_search, violates, 10_000)
+    tree = probe_tree(make_search, math.inf)
+    assert len(set(tree)) == len(tree)
+    assert set(probed) <= set(tree)
+
+
+def test_probe_tree_is_shallowest_first_and_capped():
+    # Bisection's tree is its bracket tree, level by level, violating
+    # (lower) half first — the exact floats the search computes.
+    assert probe_tree(lambda: bisect_intensity(1.0, 1 / 4), 3) == (
+        0.5, 0.25, 0.75)
+    assert probe_tree(lambda: bisect_intensity(1.0, 1 / 4), math.inf) == (
+        0.5, 0.25, 0.75)
+    # A prefix roots the tree at the search's state after those verdicts.
+    assert probe_tree(lambda: bisect_intensity(1.0, 1 / 8), 8,
+                      prefix=(False,)) == (0.75, 0.625, 0.875)
+    assert probe_tree(lambda: ddmin_subset("ab"), 8) == (("a",), ("b",))
+    assert probe_tree(lambda: ddmin_interval(1), 8) == ()
 
 
 # ---------------------------------------------------------------------------

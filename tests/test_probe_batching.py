@@ -3,9 +3,9 @@
 Three layers, one contract — batching is an optimization, never a
 semantic:
 
-* the search cores' ``prefetch`` hook is verdict-neutral: speculative
-  candidate sets never change the returned boundary (hypothesis pins
-  this over arbitrary predicates);
+* the search driver's ``prefetch`` hook is verdict-neutral: speculative
+  candidate sets never change the returned boundary or probe count
+  (hypothesis pins this over arbitrary predicates);
 * :class:`~repro.experiments.plan.ProbePlan` drains declared specs
   through the batch engine with results identical to the serial engine,
   falling back whole-group on engine rejection;
@@ -28,6 +28,7 @@ from repro.experiments.counterfactual import (
     bisect_intensity,
     ddmin_interval,
     ddmin_subset,
+    run_search,
 )
 from repro.experiments.runner import choose_sim_engine, clear_cache
 from repro.experiments.spec import RunSpec
@@ -47,21 +48,34 @@ def fresh_cache(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 class TestPrefetchNeutrality:
-    """The prefetch hook observes candidates; it must never steer."""
+    """The driver's prefetch hook observes candidates; it must never
+    steer: a recording prefetch leaves results and probe counts
+    identical — and sees every probe before its verdict is asked."""
+
+    @staticmethod
+    def _both(make_search, violates, budget=10_000):
+        issued = set()
+
+        def offered_first(candidate):
+            assert candidate in issued, "probed before it was offered"
+            return violates(candidate)
+
+        plain = run_search(make_search, violates, budget)
+        probed = run_search(make_search, offered_first, budget,
+                            prefetch=issued.update)
+        return plain, probed
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(1, 48), bad=st.sets(st.integers(0, 47)))
-    def test_interval_boundary_unchanged(self, n, bad):
-        def violates(lo, hi):
+    @given(n=st.integers(1, 48), bad=st.sets(st.integers(0, 47)),
+           budget=st.integers(1, 64))
+    def test_interval_boundary_unchanged(self, n, bad, budget):
+        def violates(window):
+            lo, hi = window
             return any(lo <= b < hi for b in bad)
 
-        issued = []
-        plain = ddmin_interval(violates, n)
-        probed = ddmin_interval(violates, n,
-                                prefetch=lambda c: issued.extend(c))
-        assert (plain.lo, plain.hi) == (probed.lo, probed.hi)
-        assert plain.probes == probed.probes
-        assert plain.exhausted == probed.exhausted
+        plain, probed = self._both(lambda: ddmin_interval(n), violates,
+                                   budget)
+        assert plain == probed  # (lo, hi), probes, exhausted
 
     @settings(max_examples=200, deadline=None)
     @given(k=st.integers(1, 8), data=st.data())
@@ -72,12 +86,8 @@ class TestPrefetchNeutrality:
         def violates(subset):
             return needed <= set(subset)
 
-        issued = []
-        plain = ddmin_subset(violates, items)
-        probed = ddmin_subset(violates, items,
-                              prefetch=lambda c: issued.extend(c))
-        assert plain.kept == probed.kept
-        assert plain.probes == probed.probes
+        plain, probed = self._both(lambda: ddmin_subset(items), violates)
+        assert plain == probed  # kept, probes, exhausted
 
     @settings(max_examples=200, deadline=None)
     @given(hi=st.floats(0.25, 64.0, allow_nan=False),
@@ -88,13 +98,8 @@ class TestPrefetchNeutrality:
         def violates(x):
             return x >= threshold
 
-        issued = []
-        plain = bisect_intensity(violates, hi)
-        probed = bisect_intensity(violates, hi,
-                                  prefetch=lambda c: issued.extend(c))
-        assert plain.minimal == probed.minimal
-        assert plain.lower == probed.lower
-        assert plain.probes == probed.probes
+        plain, probed = self._both(lambda: bisect_intensity(hi), violates)
+        assert plain == probed  # (minimal, lower), probes, exhausted
 
 
 class TestSpeculativeAccounting:
@@ -142,6 +147,27 @@ class TestSpeculativeAccounting:
         assert STATS.last.speculative_issued == 0
         assert STATS.last.executed == 0
         assert again.render() == first.render()
+
+    @pytest.mark.parametrize("resolution,budget", [
+        (0.5, 4),  # exhausted inside the window search
+        (2.0, 5),  # exhausted inside the magnitude search
+    ])
+    def test_axis_probes_sum_to_report_probes_when_exhausted(
+            self, fresh_cache, resolution, budget):
+        # A search whose budget runs out counts only the probes it ran:
+        # baseline + clean run + per-axis probes (+ no tail probes, the
+        # budget being spent) add up to the explanation's total.
+        from repro.experiments.counterfactual import explain
+        report = explain("straight", "pure_pursuit", attack="gps_bias",
+                         seed=1, onset=2.0, duration=8.0,
+                         resolution=resolution, budget=budget,
+                         sim_engine="serial")
+        assert report.necessary and report.budget_exhausted
+        axes = [s for s in (report.window, report.channels,
+                            report.magnitude) if s is not None]
+        assert (not report.window.minimal
+                or report.magnitude.exhausted)
+        assert 2 + sum(s.probes for s in axes) == report.probes == budget
 
     def test_prefetch_noop_on_serial_engine(self, fresh_cache):
         from repro.experiments.counterfactual import (
