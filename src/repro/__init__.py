@@ -43,7 +43,7 @@ from repro.trace import Trace, compute_metrics, diff_traces
 # 1.7: one RunSpec keys every run (grid points, extension runs and
 # probes share one key space; cache layout v3).  pyproject.toml reads
 # the version from here.
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "run_scenario",

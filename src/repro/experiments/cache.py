@@ -11,7 +11,8 @@ invalidated by the next.
 Layout (under ``$ADASSURE_CACHE_DIR`` or ``~/.cache/adassure``)::
 
     <root>/v3/ab/<key>.trace.npz        version-stamped columnar binary
-                                        trace (``repro.trace.io``;
+                                        trace (``repro.trace.io`` format
+                                        v2; the suffix is historical;
                                         inspectable via `adassure check`)
     <root>/v3/ab/<key>.scored.pkl       pickled scenario + metrics +
                                         outcome + CheckReport + diagnosis
@@ -22,10 +23,13 @@ Layout (under ``$ADASSURE_CACHE_DIR`` or ``~/.cache/adassure``)::
                                         rebuild any cached run
 
 Traces are stored as the binary bytes themselves — no re-compression
-wrapper — so a cache hit deserializes straight into the columnar view
-the vectorized checker consumes.  Loading sniffs the payload format, so
-a cache directory can in principle hold older JSONL entries too (the
-versioned root isolates each layout from the others regardless).
+wrapper — so a cache hit is one inflate and one un-shuffle per channel
+straight into the columnar view the vectorized checker consumes.
+Loading sniffs the payload format, so a cache directory can in principle
+hold version 1 ``.npz`` or JSONL entries too (the versioned root isolates
+each layout from the others regardless).  Keys are salted with the
+package version, so builds that write different trace formats never
+read, evict and rewrite each other's entries in a shared directory.
 
 Entries are written atomically (tmp file + rename) so concurrent workers
 and concurrent campaigns can share a cache directory.  Any unreadable or

@@ -12,9 +12,9 @@ Every message is one **frame**::
     16      4     CRC-32 over header + payload
     20      H     header: UTF-8 JSON object (seq numbers, session ids, ...)
     20+H    P     payload: raw bytes (CHUNK frames carry a binary trace
-                  chunk in the ``.npz`` format of :mod:`repro.trace.io`,
-                  so the server decodes it with the same magic-sniffing
-                  reader the run cache uses)
+                  chunk in the format of :mod:`repro.trace.io`, so the
+                  server decodes it with the same magic-sniffing reader
+                  the run cache uses)
 
 Design notes:
 
@@ -25,8 +25,8 @@ Design notes:
   "session suspended, checkpoint and wait for resume".
 * **CRC-guarded** — a torn or bit-flipped frame fails the checksum and
   raises :class:`ProtocolError` instead of feeding garbage records into a
-  monitor.  Trace payloads additionally self-validate through the npz
-  reader's own structure checks.
+  monitor.  Trace payloads additionally self-validate through the
+  binary trace reader's own structure checks.
 * **Versioned** — the version byte follows the same contract as the
   binary trace format: bump on any incompatible change, readers reject
   foreign versions with an actionable error.
@@ -81,7 +81,7 @@ class FrameType(IntEnum):
 
     HELLO = 1      # client -> server: open a session (meta, session_id)
     WELCOME = 2    # server -> client: session accepted (next_seq)
-    CHUNK = 3      # client -> server: trace records (seq; npz payload)
+    CHUNK = 3      # client -> server: trace records (seq; binary trace)
     ACK = 4        # server -> client: chunk applied (seq, live violations)
     BUSY = 5       # server -> client: backpressure (retry_after_s); the
     #                frame was NOT applied and must be resent

@@ -1,13 +1,18 @@
-"""Trace serialization: binary ``.npz`` (preferred), JSONL, and CSV.
+"""Trace serialization: binary (preferred), JSONL, and CSV.
 
 Three formats, by role:
 
-* **Binary** (:func:`write_trace_npz` / :func:`trace_to_npz_bytes`) — one
-  compressed numpy array per trace channel plus a version-stamped JSON
-  header.  Exact float64 round-trip, a fraction of JSONL's size, and
-  loading yields the *columnar* trace form directly (no per-record
-  parsing), which is what the vectorized checker consumes.  This is the
-  run cache's payload format.
+* **Binary** (:func:`write_trace_npz` / :func:`trace_to_npz_bytes`) — a
+  fixed prefix (magic ``ADTR``, format version, header length), a JSON
+  header (format name, version, record count, run metadata, and each
+  channel's name and dtype), then one zlib stream holding every channel
+  byte-shuffled.  Exact round-trip of every column's dtype and bits, a
+  fraction of JSONL's size, and loading yields the *columnar* trace form
+  directly: one inflate and one un-shuffle copy per channel, no
+  per-record parsing.  This is the run cache's, the service's and the
+  checkpoints' payload format.  The ``npz`` in the names is historical:
+  format version 1 was a zip of one ``.npy`` member per channel, which is
+  still read (never written) so older saved traces and checkpoints load.
 * **JSONL** (:func:`write_trace_jsonl`) — one metadata header line plus
   one record per line; round-tripping is exact up to float repr (Python's
   ``repr`` of a float is lossless).  Kept as the human-inspectable
@@ -17,19 +22,21 @@ Three formats, by role:
 
 Paths ending in ``.gz`` are transparently gzip-compressed on the JSONL
 path; :func:`read_trace_auto` / :func:`trace_from_bytes` sniff the format
-(zip magic = binary, gzip magic = compressed JSONL, else plain JSONL).
+(``ADTR`` = binary v2, zip = binary v1, gzip = compressed JSONL, else
+plain JSONL).
 
 Error handling contract: structurally broken input (missing header,
-corrupt record in the middle of a file, wrong CSV columns, a binary
-payload with a missing channel or an unknown format version) raises
+malformed metadata, corrupt record in the middle of a file, wrong CSV
+columns, a binary payload with a missing channel, a wrong dtype, a short
+or overlong body or an unknown format version) raises
 :class:`TraceIOError` — a :class:`ValueError` subclass carrying the file
 label.  A JSONL stream cut off mid-write (truncated gzip stream,
 incomplete final line — what a killed worker or full disk leaves behind)
 instead returns the parseable prefix and emits a
 :class:`TraceTruncationWarning`, because the prefix is still a valid
 trace and losing the tail is recoverable.  A truncated *binary* payload
-is always a hard :class:`TraceIOError`: npz members are compressed
-whole, so there is no meaningful prefix to salvage.
+is always a hard :class:`TraceIOError`: its channels are stored one
+after another, so a prefix holds no complete record.
 """
 
 from __future__ import annotations
@@ -38,6 +45,8 @@ import csv
 import gzip
 import io
 import json
+import struct
+import sys
 import warnings
 import zipfile
 import zlib
@@ -61,15 +70,16 @@ __all__ = [
     "trace_to_jsonl_bytes",
     "trace_from_jsonl_bytes",
     "trace_to_npz_bytes",
-    "trace_from_npz_bytes",
     "trace_from_bytes",
 ]
 
 _GZIP_MAGIC = b"\x1f\x8b"
 _ZIP_MAGIC = b"PK\x03\x04"
+_V2_MAGIC = b"ADTR"
 
-TRACE_NPZ_VERSION = 1
-"""Binary trace format version; readers reject anything else."""
+TRACE_NPZ_VERSION = 2
+"""Binary trace format version the writer produces.  Readers take it and
+the version 1 zip container; anything else is rejected."""
 
 _NPZ_FORMAT_NAME = "adassure-trace"
 _NPZ_COLUMN_PREFIX = "col_"
@@ -81,6 +91,19 @@ class TraceIOError(ValueError):
 
 class TraceTruncationWarning(UserWarning):
     """A trace stream ended mid-write; the parseable prefix was returned."""
+
+
+def _meta_from(data, label: str) -> TraceMeta:
+    """A header's ``meta`` object as :class:`TraceMeta`; every reader
+    goes through this, so malformed metadata is a :class:`TraceIOError`."""
+    if not isinstance(data, dict):
+        raise TraceIOError(
+            f"{label}: trace metadata is a {type(data).__name__}, "
+            "not an object")
+    try:
+        return TraceMeta.from_dict(data)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise TraceIOError(f"{label}: bad trace metadata: {exc}") from exc
 
 
 def _record_to_dict(record: TraceRecord) -> dict:
@@ -113,18 +136,17 @@ _STREAM_TRUNCATION = (EOFError, gzip.BadGzipFile, OSError)
 def _read_jsonl_stream(f, label: str) -> Trace:
     try:
         header = f.readline()
-    except _STREAM_TRUNCATION as exc:
+    except (*_STREAM_TRUNCATION, UnicodeDecodeError) as exc:
         raise TraceIOError(f"{label}: unreadable trace stream: {exc}") from exc
     if not header:
         raise TraceIOError(f"{label}: empty trace file")
     try:
         head = json.loads(header)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise TraceIOError(f"{label}: bad metadata header: {exc}") from exc
     if not isinstance(head, dict) or "meta" not in head:
         raise TraceIOError(f"{label}: missing metadata header line")
-    meta = TraceMeta.from_dict(head["meta"])
-    trace = Trace(meta)
+    trace = Trace(_meta_from(head["meta"], label))
 
     lines = iter(f)
     line_no = 1
@@ -138,12 +160,15 @@ def _read_jsonl_stream(f, label: str) -> Trace:
         except _STREAM_TRUNCATION as exc:
             truncated = f"stream ended mid-record: {exc}"
             break
+        except UnicodeDecodeError as exc:
+            raise TraceIOError(
+                f"{label}:{line_no}: undecodable trace record: {exc}") from exc
         line = line.strip()
         if not line:
             continue
         try:
             trace.append(_record_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError, RecursionError) as exc:
             # A bad *final* line is what an interrupted write leaves
             # behind — salvage the prefix.  A bad line with more data
             # after it is corruption and must not be papered over.
@@ -151,6 +176,8 @@ def _read_jsonl_stream(f, label: str) -> Trace:
                 more = next(lines)
             except (StopIteration, *_STREAM_TRUNCATION):
                 more = ""
+            except UnicodeDecodeError:
+                more = "?"  # undecodable bytes are still more data
             if more.strip():
                 raise TraceIOError(
                     f"{label}:{line_no}: bad trace record: {exc}") from exc
@@ -214,25 +241,44 @@ def trace_to_jsonl_bytes(trace: Trace, compress: bool = True) -> bytes:
 
 def trace_from_jsonl_bytes(data: bytes) -> Trace:
     """Inverse of :func:`trace_to_jsonl_bytes`; auto-detects compression."""
+    return _trace_from_jsonl(data, "<trace bytes>")
+
+
+def _trace_from_jsonl(data: bytes, label: str) -> Trace:
     if data[:2] == _GZIP_MAGIC:
         stream = io.TextIOWrapper(
             gzip.GzipFile(fileobj=io.BytesIO(data)), encoding="utf-8")
-        return _read_jsonl_stream(stream, "<trace bytes>")
+        return _read_jsonl_stream(stream, label)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise TraceIOError(
-            f"<trace bytes>: not a trace payload (binary garbage, "
+            f"{label}: not a trace payload (binary garbage, "
             f"{exc.reason} at byte {exc.start})") from exc
-    return _read_jsonl_stream(io.StringIO(text), "<trace bytes>")
+    return _read_jsonl_stream(io.StringIO(text), label)
 
 
 # ---------------------------------------------------------------------------
-# Binary (.npz) format
+# Binary format
 # ---------------------------------------------------------------------------
+
+_V2_PREFIX = struct.Struct("<4sII")  # magic, format version, header length
+
+# The schema's dtype for each channel, as the byte-order-pinned
+# ``dtype.str`` a v2 header must declare.  String channels are ``<U`` of
+# any positive width (the widest label in the trace), so only their prefix
+# is fixed.
+_V2_DTYPES = {
+    name: ("<U" if name in Trace.string_channels
+           else "|b1" if name in Trace.bool_channels
+           else "<i8" if name in Trace.int_channels
+           else "<f8")
+    for name in Trace.field_names
+}
+_MAX_CODE_POINT = 0x10FFFF
 
 # Everything np.load / zipfile / zlib / json can throw at a damaged or
-# truncated npz payload; all of it maps to TraceIOError (binary payloads
+# truncated v1 payload; all of it maps to TraceIOError (binary payloads
 # have no salvageable prefix, unlike JSONL).
 _NPZ_READ_ERRORS = (
     zipfile.BadZipFile,
@@ -244,52 +290,168 @@ _NPZ_READ_ERRORS = (
 )
 
 
-def trace_to_npz_bytes(trace: Trace) -> bytes:
-    """Serialize a trace to the binary format as an in-memory payload.
+def _shuffled(arr: np.ndarray) -> bytes:
+    """A column's bytes, every element's first byte first, then the
+    second bytes, and so on (the little-endian form is what is stored)."""
+    arr = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
+    return arr.view(np.uint8).reshape(arr.size, arr.itemsize).T.tobytes()
 
-    One compressed array per channel (exact float64 round-trip) plus a
-    ``header`` member carrying the format name, the format version and
-    the trace metadata.  npz members are deflate-compressed, so the
-    payload needs no further compression.
+
+def trace_to_npz_bytes(trace: Trace) -> bytes:
+    """Serialize a trace to the binary format (version 2).
+
+    A fixed ``<4sII`` prefix (magic ``ADTR``, format version, header
+    length), a UTF-8 JSON header (format name, version, record count,
+    metadata, and each channel's ``[name, dtype.str]`` in
+    :attr:`Trace.field_names` order), then one zlib stream holding every
+    channel byte-shuffled, in header order.  Same trace, same bytes.  The
+    name is historical: the payload has not been an ``.npz`` since
+    version 2.
     """
     cols = trace.columns()
+    arrays = [cols.get(name) for name in Trace.field_names]
     header = json.dumps({
         "format": _NPZ_FORMAT_NAME,
         "version": TRACE_NPZ_VERSION,
         "n": len(trace),
         "meta": trace.meta.to_dict(),
-    })
-    arrays = {_NPZ_COLUMN_PREFIX + name: cols.get(name)
-              for name in Trace.field_names}
-    buf = io.BytesIO()
-    np.savez_compressed(buf, header=np.asarray(header), **arrays)
-    return buf.getvalue()
+        "columns": [[name, arr.dtype.newbyteorder("<").str]
+                    for name, arr in zip(Trace.field_names, arrays)],
+    }).encode("utf-8")
+    deflate = zlib.compressobj(1, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
+    body = deflate.compress(b"".join(map(_shuffled, arrays)))
+    return (_V2_PREFIX.pack(_V2_MAGIC, TRACE_NPZ_VERSION, len(header))
+            + header + body + deflate.flush())
 
 
-def trace_from_npz_bytes(data: bytes) -> Trace:
-    """Inverse of :func:`trace_to_npz_bytes`.
+def _v2_columns(entries, label: str) -> list[tuple[str, np.dtype]]:
+    """The header's channel table, checked against the schema."""
+    try:
+        names = [name for name, _ in entries]
+    except (TypeError, ValueError) as exc:
+        raise TraceIOError(
+            f"{label}: bad channel table in trace header: {exc}") from exc
+    if names != list(Trace.field_names):
+        missing = [name for name in Trace.field_names if name not in names]
+        raise TraceIOError(
+            f"{label}: missing channel {missing[0]!r}" if missing else
+            f"{label}: channel table has unknown, repeated or reordered "
+            "channels")
+    columns = []
+    for name, code in entries:
+        want = _V2_DTYPES[name]
+        if want != "<U":
+            if code != want:
+                raise TraceIOError(
+                    f"{label}: channel {name!r} has dtype {code!r}, the "
+                    f"schema needs {want}")
+            dtype = np.dtype(code)
+        elif (isinstance(code, str) and code[:2] == want
+              and code[2:].isascii() and code[2:].isdigit()
+              and code[2] != "0"):
+            try:
+                dtype = np.dtype(code)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise TraceIOError(
+                    f"{label}: channel {name!r} has dtype {code!r}: "
+                    f"{exc}") from exc
+        else:
+            raise TraceIOError(
+                f"{label}: channel {name!r} has dtype {code!r}, the schema "
+                "needs <U and a positive width")
+        columns.append((name, dtype))
+    return columns
 
-    Raises :class:`TraceIOError` on anything that is not a complete,
-    current-version binary trace: truncated or corrupt zip structure,
-    a foreign npz file, a version mismatch, or missing channels.
-    """
-    label = "<trace bytes>"
+
+def _trace_from_v2(data: bytes, label: str) -> Trace:
+    if len(data) < _V2_PREFIX.size:
+        raise TraceIOError(f"{label}: binary trace cut off inside its prefix")
+    _, version, header_len = _V2_PREFIX.unpack_from(data)
+    if version != TRACE_NPZ_VERSION:
+        raise TraceIOError(
+            f"{label}: unsupported trace format version {version!r} "
+            f"(this build reads versions 1 and {TRACE_NPZ_VERSION})")
+    body_at = _V2_PREFIX.size + header_len
+    if len(data) < body_at:
+        raise TraceIOError(f"{label}: binary trace cut off inside its header")
+    try:
+        header = json.loads(data[_V2_PREFIX.size:body_at].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON
+        raise TraceIOError(f"{label}: bad trace header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != _NPZ_FORMAT_NAME:
+        raise TraceIOError(f"{label}: not an adassure trace")
+    if header.get("version") != version:
+        raise TraceIOError(
+            f"{label}: header version {header.get('version')!r} disagrees "
+            f"with prefix version {version}")
+    n = header.get("n")
+    if type(n) is not int or n < 0:
+        raise TraceIOError(f"{label}: bad record count {n!r}")
+    meta = _meta_from(header.get("meta", {}), label)
+    columns = _v2_columns(header.get("columns"), label)
+    expected = n * sum(dtype.itemsize for _, dtype in columns)
+    if expected >= sys.maxsize:
+        raise TraceIOError(f"{label}: header claims {n} records, too many")
+    # Inflate at most one byte past what the header declares, so a
+    # hostile body cannot balloon memory beyond the claimed size.
+    inflate = zlib.decompressobj()
+    try:
+        raw = inflate.decompress(memoryview(data)[body_at:], expected + 1)
+    except zlib.error as exc:
+        raise TraceIOError(f"{label}: corrupt trace body: {exc}") from exc
+    if len(raw) > expected:
+        raise TraceIOError(
+            f"{label}: trace body inflates past the {expected} bytes its "
+            f"header declares for {n} records")
+    if not inflate.eof:
+        raise TraceIOError(f"{label}: trace body ends mid-stream")
+    if len(raw) < expected:
+        raise TraceIOError(
+            f"{label}: header claims {n} records ({expected} bytes), body "
+            f"holds {len(raw)} bytes")
+    if inflate.unused_data:
+        raise TraceIOError(
+            f"{label}: {len(inflate.unused_data)} trailing byte(s) after "
+            "the trace body")
+    arrays = {}
+    offset = 0
+    for name, dtype in columns:
+        size = dtype.itemsize
+        planes = np.frombuffer(raw, np.uint8, n * size, offset)
+        offset += n * size
+        arr = planes.reshape(size, n).T.copy().view(dtype).reshape(n)
+        if dtype.kind == "b" and planes.size and planes.max() > 1:
+            raise TraceIOError(f"{label}: channel {name!r} holds non-bool bytes")
+        if (dtype.kind == "U" and arr.size
+                and arr.view("<u4").max() > _MAX_CODE_POINT):
+            raise TraceIOError(
+                f"{label}: channel {name!r} holds invalid code points")
+        # Read-only before from_columns, which copies writeable arrays.
+        arr.flags.writeable = False
+        arrays[name] = arr
+    return Trace.from_columns(meta, arrays)
+
+
+def _trace_from_v1(data: bytes, label: str) -> Trace:
+    """Read the legacy zip container: one ``.npy`` member per channel plus
+    a ``header`` member.  Nothing writes it any more; saved traces and
+    checkpoints from older builds still load."""
     try:
         with np.load(io.BytesIO(data), allow_pickle=False) as npz:
             if "header" not in npz.files:
                 raise TraceIOError(f"{label}: not a trace npz (no header)")
             try:
                 header = json.loads(str(npz["header"][()]))
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise TraceIOError(f"{label}: bad npz header: {exc}") from exc
             if (not isinstance(header, dict)
                     or header.get("format") != _NPZ_FORMAT_NAME):
                 raise TraceIOError(f"{label}: not an adassure trace npz")
             version = header.get("version")
-            if version != TRACE_NPZ_VERSION:
+            if version != 1:
                 raise TraceIOError(
                     f"{label}: unsupported trace format version {version!r} "
-                    f"(this build reads version {TRACE_NPZ_VERSION})")
+                    "in a zip container (it holds version 1 only)")
             arrays = {}
             for name in Trace.field_names:
                 member = _NPZ_COLUMN_PREFIX + name
@@ -301,7 +463,7 @@ def trace_from_npz_bytes(data: bytes) -> Trace:
     except _NPZ_READ_ERRORS as exc:
         raise TraceIOError(
             f"{label}: unreadable binary trace: {exc}") from exc
-    meta = TraceMeta.from_dict(header.get("meta", {}))
+    meta = _meta_from(header.get("meta", {}), label)
     try:
         trace = Trace.from_columns(meta, arrays)
     except ValueError as exc:
@@ -315,64 +477,55 @@ def trace_from_npz_bytes(data: bytes) -> Trace:
 
 
 def write_trace_npz(trace: Trace, path: str | Path) -> None:
-    """Write a trace in the binary format (conventional suffix ``.npz``)."""
+    """Write a trace in the binary format (conventional suffix ``.npz``,
+    kept from version 1)."""
     Path(path).write_bytes(trace_to_npz_bytes(trace))
 
 
 def read_trace_npz(path: str | Path) -> Trace:
-    """Read a trace written by :func:`write_trace_npz`."""
-    path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise TraceIOError(f"{path}: unreadable trace file: {exc}") from exc
-    try:
-        return trace_from_npz_bytes(data)
-    except TraceIOError as exc:
-        raise TraceIOError(str(exc).replace("<trace bytes>",
-                                            str(path), 1)) from exc
+    """Read a binary trace file of either version; the format is sniffed
+    (this is :func:`read_trace_auto`), so a JSONL file loads too."""
+    return read_trace_auto(path)
+
+
+def _trace_from_bytes(data: bytes, label: str) -> Trace:
+    if len(data) < len(_ZIP_MAGIC):
+        raise TraceIOError(
+            f"{label}: payload of {len(data)} byte(s) is too short "
+            "to be a trace (no format magic)")
+    magic = data[:4]
+    if magic == _V2_MAGIC:
+        return _trace_from_v2(data, label)
+    if magic == _ZIP_MAGIC:
+        return _trace_from_v1(data, label)
+    return _trace_from_jsonl(data, label)
 
 
 def trace_from_bytes(data: bytes) -> Trace:
     """Deserialize a trace payload of any supported format.
 
-    Sniffs the leading magic: zip (binary npz), gzip (compressed JSONL),
-    else plain-text JSONL.  The run cache reads entries through this, so
-    caches written by older (JSONL) builds still load.
+    Sniffs the leading magic: ``ADTR`` (binary, version 2), zip (binary,
+    version 1, read-only), gzip (compressed JSONL), else plain-text
+    JSONL.  The run cache, the service and checkpoints read through this,
+    so payloads written by older builds still load.
 
     Payloads too short to even carry a format magic (what a torn network
     frame or a zero-byte cache file looks like) raise
     :class:`TraceIOError` up front rather than a confusing low-level
     error from whichever decoder the sniffer happened to guess.
     """
-    if len(data) < len(_ZIP_MAGIC):
-        raise TraceIOError(
-            f"<trace bytes>: payload of {len(data)} byte(s) is too short "
-            "to be a trace (no format magic)")
-    if data[:4] == _ZIP_MAGIC:
-        return trace_from_npz_bytes(data)
-    return trace_from_jsonl_bytes(data)
+    return _trace_from_bytes(data, "<trace bytes>")
 
 
 def read_trace_auto(path: str | Path) -> Trace:
-    """Read a trace file of any supported format (sniffed, not by suffix)."""
+    """Read a trace file of any supported format (sniffed, not by suffix,
+    like :func:`trace_from_bytes`); errors carry the path."""
     path = Path(path)
     try:
-        with path.open("rb") as f:
-            head = f.read(4)
+        data = path.read_bytes()
     except OSError as exc:
         raise TraceIOError(f"{path}: unreadable trace file: {exc}") from exc
-    if len(head) < len(_ZIP_MAGIC):
-        raise TraceIOError(
-            f"{path}: file of {len(head)} byte(s) is too short to be a "
-            "trace (no format magic)")
-    if head == _ZIP_MAGIC:
-        return read_trace_npz(path)
-    if head[:2] == _GZIP_MAGIC and path.suffix != ".gz":
-        # gzip'd JSONL under a non-.gz name: the suffix dispatch in
-        # read_trace_jsonl would misread it as plain text.
-        return trace_from_jsonl_bytes(path.read_bytes())
-    return read_trace_jsonl(path)
+    return _trace_from_bytes(data, str(path))
 
 
 def write_trace_csv(trace: Trace, path: str | Path) -> None:
@@ -393,7 +546,11 @@ def read_trace_csv(path: str | Path) -> Trace:
         first = f.readline()
         meta = TraceMeta()
         if first.startswith("# meta:"):
-            meta = TraceMeta.from_dict(json.loads(first[len("# meta:"):]))
+            try:
+                head = json.loads(first[len("# meta:"):])
+            except json.JSONDecodeError as exc:
+                raise TraceIOError(f"{path}: bad metadata line: {exc}") from exc
+            meta = _meta_from(head, str(path))
             header_line = None
         else:
             header_line = first

@@ -198,6 +198,35 @@ class TestProtocolPolicing:
         assert not error.header["fatal"]
         assert "empty" in error.header["message"]
 
+    def test_chunk_with_bad_metadata_is_nonfatal(self, tmp_path):
+        # CRC-valid frame, undecodable metadata: the chunk is refused with
+        # the cursor, and the same connection carries on with chunk 0.
+        trace = attacked_trace()
+        good = chunk_to_bytes(trace.meta, list(trace.records)[:50])
+        bad = b'{"meta": 5}\n' + b"{}\n"
+
+        async def go():
+            async with serving(tmp_path) as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                writer.write(encode_frame(FrameType.HELLO, {
+                    "session_id": "veh-badmeta",
+                    "meta": trace.meta.to_dict()}))
+                writer.write(encode_frame(FrameType.CHUNK, {"seq": 0}, bad))
+                writer.write(encode_frame(FrameType.CHUNK, {"seq": 0}, good))
+                await writer.drain()
+                replies = [await read_frame(reader) for _ in range(3)]
+                writer.close()
+                return replies
+
+        welcome, error, ack = asyncio.run(go())
+        assert welcome.type is FrameType.WELCOME
+        assert error.type is FrameType.ERROR
+        assert not error.header["fatal"]
+        assert error.header["next_seq"] == 0
+        assert "metadata" in error.header["message"]
+        assert ack.type is FrameType.ACK and ack.header["next_seq"] == 1
+
     def test_chunk_without_session_is_fatal(self, tmp_path):
         async def go():
             async with serving(tmp_path) as server:

@@ -3,6 +3,9 @@ monitor pooling."""
 
 from __future__ import annotations
 
+import json
+import struct
+
 import pytest
 
 from repro.core.catalog import default_catalog
@@ -21,6 +24,17 @@ from repro.trace.schema import TraceMeta
 
 from conftest import make_trace
 from service_utils import attacked_trace as _attacked_trace
+
+
+def _with_meta(payload: bytes, meta) -> bytes:
+    """A binary chunk payload with its header's metadata replaced."""
+    prefix = struct.Struct("<4sII")
+    magic, version, length = prefix.unpack_from(payload)
+    header = json.loads(payload[prefix.size:prefix.size + length])
+    header["meta"] = meta
+    raw = json.dumps(header).encode()
+    return (prefix.pack(magic, version, len(raw)) + raw
+            + payload[prefix.size + length:])
 
 
 def _chunks(trace, size):
@@ -91,6 +105,21 @@ class TestExactlyOnceGate:
         session = self._session()
         with pytest.raises(ChunkRejected, match="undecodable"):
             session.apply_chunk(0, b"PK\x03\x04 but not really a zip")
+
+    @pytest.mark.parametrize("meta", [5, {"seed": "x"}, {"dt": "fast"}])
+    def test_bad_metadata_rejected_cursor_kept(self, meta):
+        # A CRC-valid chunk whose metadata does not convert is rejected
+        # like any undecodable payload; the session carries on.
+        trace = make_trace(20)
+        session = self._session()
+        chunks = _chunks(trace, 10)
+        for bad in (_with_meta(chunks[0][1], meta),
+                    (json.dumps({"meta": meta}) + "\n").encode()):
+            with pytest.raises(ChunkRejected, match="metadata"):
+                session.apply_chunk(0, bad)
+            assert session.next_seq == 0 and not session.records
+        session.apply_chunk(*chunks[0])
+        assert session.next_seq == 1
 
     def test_non_monotonic_records_rejected(self):
         trace = make_trace(20)
